@@ -117,10 +117,7 @@ def cmd_fit(args) -> int:
     model = _load_model(args.model)
     data = _load_table(args.data, load_data, model=model, kinds=_resolve_kinds(args.kinds))
     if args.mode == "opls":
-        sigma, _ = polychoric_matrix(
-            data, epsilon=args.epsilon, repair_pd=args.repair_pd,
-            max_workers=args.threads if args.threads > 1 else None,
-        )
+        sigma, _ = polychoric_matrix(data, epsilon=args.epsilon, repair_pd=args.repair_pd)
     else:
         sigma = pearson_matrix(data)
     fit = fit_correlation_model(sigma, model, mode=args.mode, tol=args.tol, max_iter=args.max_iter)
@@ -214,10 +211,7 @@ def cmd_fit(args) -> int:
 def cmd_polychoric(args) -> int:
     out = _out_dir(args)
     data = _load_table(args.data, load_csv, kinds="ordinal")
-    sigma, thresholds = polychoric_matrix(
-        data, epsilon=args.epsilon, repair_pd=args.repair_pd,
-        max_workers=args.threads if args.threads > 1 else None,
-    )
+    sigma, thresholds = polychoric_matrix(data, epsilon=args.epsilon, repair_pd=args.repair_pd)
     files = [
         _write_csv(
             out / "polychoric_matrix.csv",
@@ -255,10 +249,7 @@ def cmd_predict_scores(args) -> int:
     out = _out_dir(args)
     model = _load_model(args.model)
     data = _load_table(args.data, load_data, model=model, kinds="ordinal")
-    sigma, thresholds = polychoric_matrix(
-        data, epsilon=args.epsilon, repair_pd=args.repair_pd,
-        max_workers=args.threads if args.threads > 1 else None,
-    )
+    sigma, thresholds = polychoric_matrix(data, epsilon=args.epsilon, repair_pd=args.repair_pd)
     fit = fit_correlation_model(sigma, model, mode="opls", tol=args.tol, max_iter=args.max_iter)
     lt = latent_thresholds(thresholds, fit.weights.standardized, model)
     predicted = predict_categories(
@@ -318,7 +309,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         epsilon=args.epsilon,
     )
-    report = run_study(config, max_workers=args.threads if args.threads > 1 else None)
+    report = run_study(config)
     pct_header = [f"p{p:02d}" for p in PERCENTILES]
     rows = []
     for row in report.summary_rows():
@@ -359,8 +350,6 @@ def cmd_simulate(args) -> int:
 def _add_common(parser):
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="random seed (recorded in manifest)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for pairwise polychoric problems")
 
 
 def build_parser() -> argparse.ArgumentParser:

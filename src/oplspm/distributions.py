@@ -126,35 +126,36 @@ _GL_HALF = {
 }
 
 
-def _gl_rule(r):
-    # Half-interval Gauss-Legendre nodes/weights for the |r| tier.
-    if abs(r) < 0.3:
-        return _GL_HALF[6]
-    if abs(r) < 0.75:
-        return _GL_HALF[12]
-    return _GL_HALF[20]
+# Gauss-Legendre tier by |r|: 6 points below 0.3, 12 below 0.75, 20 above;
+# from 0.925 on, Genz's near-singular expansion replaces the arcsine form.
+_TIER_EDGES = np.array([0.3, 0.75, 0.925])
 
 
-def _bvnu_finite(h, k, r):
-    # Upper-orthant probability P(X > h, Y > k) for finite limits.
-    xh, wh = _gl_rule(r)
-    tp = 2.0 * math.pi
+def _nodes(xh, wh):
+    # (node, weight) pairs of a half rule mapped onto [0, 2], as Python floats.
+    return tuple(zip((1.0 - xh).tolist() + (1.0 + xh).tolist(), 2 * wh.tolist()))
+
+
+def _bvnu_arcsine(h, k, r, nodes):
+    # |r| < 0.925: quadrature of the arcsine form of the correlation integral.
     hk = h * k
-    if abs(r) < 0.925:
-        x = np.concatenate([1.0 - xh, 1.0 + xh])
-        w = np.concatenate([wh, wh])
-        hs = 0.5 * (h * h + k * k)
-        asr = 0.5 * math.asin(r)
+    hs = 0.5 * (h * h + k * k)
+    asr = 0.5 * np.arcsin(r)
+    acc = np.zeros(h.shape)
+    for x, w in nodes:
         sn = np.sin(asr * x)
-        integrand = np.exp((sn[:, None] * hk[None, :] - hs[None, :]) / (1.0 - sn[:, None] ** 2))
-        return (w @ integrand) * asr / tp + ndtr(-h) * ndtr(-k)
+        acc += w * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+    return acc * asr / (2.0 * math.pi) + ndtr(-h) * ndtr(-k)
 
+
+def _bvnu_near_singular(h, k, r, nodes):
     # |r| >= 0.925: the integrand is nearly singular; use Genz's expansion
     # around |r| = 1 plus quadrature on the remainder.
-    kk = -k if r < 0.0 else k
-    hk = -hk if r < 0.0 else hk
+    negative = r < 0.0
+    kk = np.where(negative, -k, k)
+    hk = np.where(negative, -h * k, h * k)
     as_ = (1.0 - r) * (1.0 + r)
-    a = math.sqrt(as_)
+    a = np.sqrt(as_)
     bs = (h - kk) ** 2
     c = (4.0 - hk) / 8.0
     d = (12.0 - hk) / 16.0
@@ -169,7 +170,7 @@ def _bvnu_finite(h, k, r):
     tail = hk > -100.0
     if np.any(tail):
         b = np.sqrt(bs[tail])
-        sp = _SQRT_2PI * ndtr(-b / a)
+        sp = _SQRT_2PI * ndtr(-b / np.broadcast_to(a, h.shape)[tail])
         bvn[tail] -= (
             np.exp(-0.5 * hk[tail])
             * sp
@@ -177,20 +178,51 @@ def _bvnu_finite(h, k, r):
             * (1.0 - c[tail] * bs[tail] * (1.0 - d[tail] * bs[tail] / 5.0) / 3.0)
         )
     a2 = a / 2.0
-    xs = (a2 * (1.0 + np.concatenate([-xh, xh]))) ** 2
-    ww = np.concatenate([wh, wh])
-    rs = np.sqrt(1.0 - xs)
-    asr_n = -0.5 * (bs[None, :] / xs[:, None] + hk[None, :])
-    sp_n = 1.0 + c[None, :] * xs[:, None] * (1.0 + d[None, :] * xs[:, None])
-    ep_n = np.exp(-hk[None, :] * (1.0 - rs[:, None]) / (2.0 * (1.0 + rs[:, None]))) / rs[:, None]
-    terms = np.where(asr_n > -100.0, np.exp(asr_n) * (ep_n - sp_n), 0.0)
-    bvn = bvn + a2 * (ww @ terms)
-    bvn = -bvn / tp
-    if r > 0.0:
-        bvn = bvn + ndtr(-np.maximum(h, kk))
-    else:
-        bvn = -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-kk))
-    return bvn
+    acc = np.zeros(h.shape)
+    for x, w in nodes:
+        xs = (a2 * x) ** 2
+        rs = np.sqrt(1.0 - xs)
+        asr = -0.5 * (bs / xs + hk)
+        sp = 1.0 + c * xs * (1.0 + d * xs)
+        ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+        acc += w * np.where(asr > -100.0, np.exp(asr) * (ep - sp), 0.0)
+    bvn = -(bvn + a2 * acc) / (2.0 * math.pi)
+    return np.where(
+        r > 0.0,
+        bvn + ndtr(-np.maximum(h, kk)),
+        -bvn + np.maximum(0.0, ndtr(-h) - ndtr(-kk)),
+    )
+
+
+# One (evaluator, nodes) per tier of _TIER_EDGES. The nodes are accumulated
+# one at a time rather than as a (nodes x elements) array, which keeps the
+# working set at a few element-sized vectors.
+_BRANCHES = (
+    (_bvnu_arcsine, _nodes(*_GL_HALF[6])),
+    (_bvnu_arcsine, _nodes(*_GL_HALF[12])),
+    (_bvnu_arcsine, _nodes(*_GL_HALF[20])),
+    (_bvnu_near_singular, _nodes(*_GL_HALF[20])),
+)
+
+
+def _bvnu_finite(h, k, r):
+    # Upper-orthant probability P(X > h, Y > k) for 1-D arrays of finite
+    # limits; r is one correlation or one per element, and each element
+    # takes the quadrature tier and branch of its own |r|.
+    r = np.asarray(r, dtype=float)
+    tier = np.searchsorted(_TIER_EDGES, np.abs(r), side="right")
+    if r.ndim == 0:
+        branch, nodes = _BRANCHES[tier]
+        return branch(h, k, r, nodes)
+    r = np.broadcast_to(r, h.shape)
+    out = np.empty(h.shape)
+    for t, (branch, nodes) in enumerate(_BRANCHES):
+        m = tier == t
+        if m.all():
+            return branch(h, k, r, nodes)
+        if m.any():
+            out[m] = branch(h[m], k[m], r[m], nodes)
+    return out
 
 
 def _bvnu(dh, dk, r):
@@ -212,8 +244,17 @@ def _bvnu(dh, dk, r):
 
 def _bvn_cdf_finite(h, k, rho):
     # Low-overhead path for hot loops: 1-D float arrays of finite limits,
-    # rho already validated by the caller.
+    # rho (scalar or one per element) already validated by the caller.
     return np.clip(_bvnu_finite(-h, -k, rho), 0.0, 1.0)
+
+
+def _bvn_pdf_drho(h, k, rho):
+    # Bivariate normal density phi2(h, k; rho) and its derivative in rho;
+    # phi2 is itself the rho-derivative of the CDF. Elementwise, finite limits.
+    s = (1.0 - rho) * (1.0 + rho)
+    q = h * h - 2.0 * rho * h * k + k * k
+    pdf = np.exp(-0.5 * q / s) / (2.0 * math.pi * np.sqrt(s))
+    return pdf, pdf * (rho / s + (h * k * s - rho * q) / (s * s))
 
 
 def bvn_cdf(h, k, rho):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, OplsError
 from .model import DataMatrix, PathModel
 from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState, matrix_pls_fit
 from .polychoric import CorrelationMatrix, pearson_matrix, polychoric_matrix
@@ -254,7 +254,7 @@ def bootstrap_inner(
         )
         try:
             draws.append(_inner_vector(fit_once(resampled), names))
-        except Exception:
+        except OplsError:
             failed += 1
     if not draws:
         raise EstimationError("all bootstrap replicates failed")

@@ -14,14 +14,12 @@ outermost category boundaries are open (+/-inf).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
-from .distributions import _bvn_cdf_finite, bvn_cdf, std_normal_quantile
+from .distributions import _bvn_cdf_finite, _bvn_pdf_drho, bvn_cdf, std_normal_quantile
 from .errors import ConvergenceError, DataError
 from .model import DataMatrix
 
@@ -45,6 +43,9 @@ RHO_BOUND = 0.999
 THRESHOLD_BOUND = 4.0
 _PD_TOL = 1e-10
 _LOG_FLOOR = 1e-300
+_SCAN = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
+_MAX_ITER = 100
+_NOT_CONVERGED = f"polychoric optimizer failed: no convergence in {_MAX_ITER} iterations"
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,122 @@ def cell_probabilities(thresholds_h: ThresholdSet, thresholds_k: ThresholdSet, r
     return np.diff(np.diff(lower_cdf, axis=0), axis=1)
 
 
+def _check_table(table: ContingencyTable, thresholds_h: ThresholdSet, thresholds_k: ThresholdSet):
+    counts = table.counts
+    if counts.shape != (thresholds_h.category_count, thresholds_k.category_count):
+        raise DataError(
+            f"table shape {counts.shape} does not match threshold categories "
+            f"({thresholds_h.category_count}, {thresholds_k.category_count})"
+        )
+    if np.count_nonzero(counts.sum(axis=1)) < 2 or np.count_nonzero(counts.sum(axis=0)) < 2:
+        raise DataError("degenerate table: all mass in one row or column")
+
+
+def _solve_pairs(tables, cuts_h, cuts_k, xatol=1e-8):
+    """Two-step ML correlation of many pair tables at once.
+
+    ``tables[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
+    ``cuts_k[p]`` its interior thresholds. Every pair is padded to one
+    corner grid: padded limits are +inf and padded cells hold zero counts,
+    so they add exactly 0 to the loglikelihood and its derivatives, and a
+    pair's result does not depend on which pairs share its batch.
+
+    A 21-point scan over [-0.999, 0.999] brackets each pair's maximum
+    between the neighbours of its best scan point. Newton steps on the
+    analytic score (dPhi2/drho = phi2) then refine inside that bracket,
+    falling back to bisection on the sign of the score whenever a step
+    leaves the bracket or the curvature is not negative; only pairs still
+    moving are evaluated again. A bound is kept when its loglikelihood
+    beats the refined point, so concordant tables return exactly +/-0.999.
+
+    Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
+    """
+    n = len(tables)
+    rows = max(c.size for c in cuts_h)
+    cols = max(c.size for c in cuts_k)
+    lim_h = np.full((n, rows + 2), np.inf)
+    lim_k = np.full((n, cols + 2), np.inf)
+    lim_h[:, 0] = lim_k[:, 0] = -np.inf
+    weights = np.zeros((n, rows + 1, cols + 1))
+    for p, (table, ch, ck) in enumerate(zip(tables, cuts_h, cuts_k)):
+        lim_h[p, 1 : 1 + ch.size] = ch
+        lim_k[p, 1 : 1 + ck.size] = ck
+        weights[p, : table.shape[0], : table.shape[1]] = table
+
+    # CDF corners on an infinite limit are marginals fixed by the
+    # thresholds; only the finite interior corners depend on rho.
+    grid_h, grid_k = np.broadcast_arrays(lim_h[:, :, None], lim_k[:, None, :])
+    finite = np.isfinite(grid_h) & np.isfinite(grid_k)
+    fixed = np.where(np.isposinf(grid_h), ndtr(grid_k), np.where(np.isposinf(grid_k), ndtr(grid_h), 0.0))
+    corner_h, corner_k = grid_h[finite], grid_k[finite]
+    owner = np.nonzero(finite)[0]
+
+    def evaluate(active, rho, derivatives):
+        # Loglikelihood (and score, curvature) of the active pairs at rho.
+        sel = active[owner]
+        h, k = corner_h[sel], corner_k[sel]
+        r = rho if np.ndim(rho) == 0 else rho[owner[sel]]
+        mask = finite[active]
+        cdf = fixed[active]
+        cdf[mask] = _bvn_cdf_finite(h, k, r)
+        probs = np.diff(np.diff(cdf, axis=1), axis=2)
+        w = weights[active]
+        loglik = np.sum(w * np.log(np.maximum(probs, _LOG_FLOOR)), axis=(1, 2))
+        if not derivatives:
+            return loglik
+        d1 = np.zeros(cdf.shape)
+        d2 = np.zeros(cdf.shape)
+        d1[mask], d2[mask] = _bvn_pdf_drho(h, k, r)
+        dp = np.diff(np.diff(d1, axis=1), axis=2)
+        d2p = np.diff(np.diff(d2, axis=1), axis=2)
+        # floored cells are flat in rho, so they drop out of the derivatives
+        live = probs > _LOG_FLOOR
+        w = np.where(live, w, 0.0)
+        probs = np.where(live, probs, 1.0)
+        ratio = dp / probs
+        score = np.sum(w * ratio, axis=(1, 2))
+        curvature = np.sum(w * (d2p / probs - ratio * ratio), axis=(1, 2))
+        return loglik, score, curvature
+
+    everyone = np.ones(n, dtype=bool)
+    scan_ll = np.empty((n, _SCAN.size))
+    for i, r in enumerate(_SCAN):
+        scan_ll[:, i] = evaluate(everyone, r, derivatives=False)
+    best = np.argmax(scan_ll, axis=1)
+    lo = _SCAN[np.maximum(best - 1, 0)]
+    hi = _SCAN[np.minimum(best + 1, _SCAN.size - 1)]
+    at_bound = [(0, lo == -RHO_BOUND), (_SCAN.size - 1, hi == RHO_BOUND)]
+
+    rho = _SCAN[best]
+    loglik = scan_ll[np.arange(n), best]
+    active = everyone.copy()
+    for _ in range(_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        ll, score, curvature = evaluate(active, rho, derivatives=True)
+        x = rho[idx]
+        loglik[idx] = ll
+        # the maximum lies uphill of x: shrink the bracket to that side
+        up = score > 0.0
+        a = np.where(up, x, lo[idx])
+        b = np.where(up, hi[idx], x)
+        lo[idx], hi[idx] = a, b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - score / curvature
+        ok = (curvature < 0.0) & (newton >= a) & (newton <= b)
+        step_to = np.where(ok, newton, 0.5 * (a + b))
+        moving = np.abs(step_to - x) >= xatol
+        rho[idx[moving]] = step_to[moving]
+        active[idx[~moving]] = False
+
+    for i, candidate in at_bound:
+        better = candidate & (scan_ll[:, i] > loglik)
+        rho = np.where(better, _SCAN[i], rho)
+        loglik = np.where(better, scan_ll[:, i], loglik)
+    return rho, loglik, ~active
+
+
 def polychoric_pair(
     table: ContingencyTable,
     thresholds_h: ThresholdSet,
@@ -206,9 +323,10 @@ def polychoric_pair(
     """Maximize the table loglikelihood over the correlation alone.
 
     The search runs over [-0.999, 0.999]: a coarse scan locates the basin,
-    a bounded Brent refinement polishes it, and the clip bounds themselves
-    are kept as candidates so perfectly concordant tables return exactly
-    the bound.
+    safeguarded Newton steps polish it until a step is below ``xatol``,
+    and the clip bounds themselves are kept as candidates so perfectly
+    concordant tables return exactly the bound. This is the one-pair case
+    of the solver ``polychoric_matrix`` runs on all pairs at once.
 
     Raises
     ------
@@ -216,55 +334,15 @@ def polychoric_pair(
         If the table is degenerate (all mass in one row or column) or its
         shape disagrees with the threshold sets.
     ConvergenceError
-        If the 1-D optimizer reports failure; carries the best rho found.
+        If the refinement does not converge; carries the best rho found.
     """
-    counts = table.counts
-    if counts.shape != (thresholds_h.category_count, thresholds_k.category_count):
-        raise DataError(
-            f"table shape {counts.shape} does not match threshold categories "
-            f"({thresholds_h.category_count}, {thresholds_k.category_count})"
-        )
-    if np.count_nonzero(counts.sum(axis=1)) < 2 or np.count_nonzero(counts.sum(axis=0)) < 2:
-        raise DataError("degenerate table: all mass in one row or column")
-    smoothed = table.smoothed()
-
-    # Boundary corners of the CDF grid involve +/-inf limits and do not
-    # depend on rho; precompute them and only refresh the interior corners
-    # inside the likelihood.
-    cuts_h = thresholds_h.cuts
-    cuts_k = thresholds_k.cuts
-    corner_cdf = np.zeros((cuts_h.size + 2, cuts_k.size + 2))
-    corner_cdf[-1, 1:-1] = ndtr(cuts_k)
-    corner_cdf[1:-1, -1] = ndtr(cuts_h)
-    corner_cdf[-1, -1] = 1.0
-    grid_h = np.repeat(cuts_h, cuts_k.size)
-    grid_k = np.tile(cuts_k, cuts_h.size)
-
-    def loglik(rho):
-        corner_cdf[1:-1, 1:-1] = _bvn_cdf_finite(grid_h, grid_k, rho).reshape(
-            cuts_h.size, cuts_k.size
-        )
-        probs = np.diff(np.diff(corner_cdf, axis=0), axis=1)
-        return float(np.sum(smoothed * np.log(np.maximum(probs, _LOG_FLOOR))))
-
-    scan = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
-    scan_ll = np.array([loglik(r) for r in scan])
-    best = int(np.argmax(scan_ll))
-    lo = scan[max(best - 1, 0)]
-    hi = scan[min(best + 1, scan.size - 1)]
-    result = minimize_scalar(
-        lambda r: -loglik(r), bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+    _check_table(table, thresholds_h, thresholds_k)
+    rho, loglik, converged = _solve_pairs(
+        [table.smoothed()], [thresholds_h.cuts], [thresholds_k.cuts], xatol=xatol
     )
-    if not result.success:
-        raise ConvergenceError(
-            f"polychoric optimizer failed: {result.message}", best=float(result.x)
-        )
-    candidates = [(float(result.x), -float(result.fun))]
-    for bound in (-RHO_BOUND, RHO_BOUND):
-        if lo == bound or hi == bound:
-            candidates.append((bound, loglik(bound)))
-    rho, ll = max(candidates, key=lambda c: c[1])
-    return PairResult(rho=rho, loglik=ll)
+    if not converged[0]:
+        raise ConvergenceError(_NOT_CONVERGED, best=float(rho[0]))
+    return PairResult(rho=float(rho[0]), loglik=float(loglik[0]))
 
 
 def crosstab(codes_h: np.ndarray, codes_k: np.ndarray, n_h: int, n_k: int) -> np.ndarray:
@@ -274,12 +352,7 @@ def crosstab(codes_h: np.ndarray, codes_k: np.ndarray, n_h: int, n_k: int) -> np
     return counts
 
 
-def polychoric_matrix(
-    data: DataMatrix,
-    epsilon: float = 0.5,
-    repair_pd: bool = False,
-    max_workers: int | None = None,
-):
+def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = False):
     """Thresholds plus the full pairwise polychoric correlation matrix.
 
     Parameters
@@ -291,9 +364,6 @@ def polychoric_matrix(
     repair_pd : bool
         Project a non-positive-definite result to the nearest admissible
         matrix instead of flagging it as failed.
-    max_workers : int, optional
-        Solve the K(K-1)/2 pair problems in a thread pool of this size;
-        results do not depend on scheduling.
 
     Returns
     -------
@@ -311,30 +381,31 @@ def polychoric_matrix(
         thresholds.append(ts)
         collapsed.append(ts.map_codes(data.codes(j)))
 
-    def solve_pair(pair):
-        h, k = pair
+    def label(h, k):
+        return f"pair ('{data.columns[h]}', '{data.columns[k]}')"
+
+    pairs = list(itertools.combinations(range(data.n_cols), 2))
+    tables = []
+    for h, k in pairs:
         counts = crosstab(
             collapsed[h], collapsed[k], thresholds[h].category_count, thresholds[k].category_count
         )
         try:
-            fit = polychoric_pair(
-                ContingencyTable(counts=counts, epsilon=epsilon), thresholds[h], thresholds[k]
-            )
-        except (DataError, ConvergenceError) as exc:
-            raise type(exc)(
-                f"pair ('{data.columns[h]}', '{data.columns[k]}'): {exc}"
-            ) from None
-        return h, k, fit.rho
-
-    pairs = list(itertools.combinations(range(data.n_cols), 2))
-    if max_workers is not None and max_workers > 1 and pairs:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            solved = list(pool.map(solve_pair, pairs))
-    else:
-        solved = [solve_pair(p) for p in pairs]
+            table = ContingencyTable(counts=counts, epsilon=epsilon)
+            _check_table(table, thresholds[h], thresholds[k])
+        except DataError as exc:
+            raise DataError(f"{label(h, k)}: {exc}") from None
+        tables.append(table.smoothed())
 
     values = np.eye(data.n_cols)
-    for h, k, rho in solved:
+    if pairs:
+        rho, _, converged = _solve_pairs(
+            tables, [thresholds[h].cuts for h, _ in pairs], [thresholds[k].cuts for _, k in pairs]
+        )
+        if not converged.all():
+            p = int(np.argmin(converged))
+            raise ConvergenceError(f"{label(*pairs[p])}: {_NOT_CONVERGED}", best=float(rho[p]))
+        h, k = np.array(pairs).T
         values[h, k] = values[k, h] = rho
     return CorrelationMatrix.build(values, kind="polychoric", repair=repair_pd), thresholds
 

@@ -40,8 +40,9 @@ class LatentThresholds:
 
     The interior cut points are the weighted (standardizing-weight) sums of
     the indicator cut points; the outer boundaries are fixed at -4 and +4.
-    ``sets(j)`` tiles the latent axis into the homogeneous-response
-    intervals A_i = (a_{i-1}, a_i].
+    ``padded(j)`` returns latent j's cut points with those boundaries
+    attached; consecutive entries tile the latent axis into the
+    homogeneous-response intervals A_i = (a_{i-1}, a_i].
     """
 
     cuts: tuple[np.ndarray, ...]

@@ -334,7 +334,7 @@ def _extract_inner(fit) -> np.ndarray:
     return np.array([lookup[PARAMETER_PATHS[p]] for p in PARAMETERS])
 
 
-def run_study(config: SimulationConfig, max_workers: int | None = None) -> BiasReport:
+def run_study(config: SimulationConfig) -> BiasReport:
     """Run the full replication loop for one (law, npoints) cell.
 
     Replications draw from independent substreams seeded by
@@ -353,9 +353,7 @@ def run_study(config: SimulationConfig, max_workers: int | None = None) -> BiasR
             fit_p = fit_correlation_model(
                 pearson_matrix(data), model, mode="pls", tol=config.tol, max_iter=config.max_iter
             )
-            sigma_poly, _ = polychoric_matrix(
-                data, epsilon=config.epsilon, max_workers=max_workers
-            )
+            sigma_poly, _ = polychoric_matrix(data, epsilon=config.epsilon)
             fit_o = fit_correlation_model(
                 sigma_poly, model, mode="opls", tol=config.tol, max_iter=config.max_iter
             )

@@ -16,6 +16,7 @@ from oplspm import (
     truncated_normal_mean,
     truncated_normal_median,
 )
+from oplspm.distributions import _bvn_cdf_finite
 
 mp.mp.dps = 40
 
@@ -35,6 +36,21 @@ def mp_bvn(h, k, rho):
     scale = mp.sqrt(1 - rho**2)
     f = lambda x: mp.npdf(x) * mp.ncdf((mp.mpf(repr(k)) - rho * x) / scale)
     return float(mp.quad(f, [-mp.inf, mp.mpf(repr(h))]))
+
+
+# (h, k, rho) covering every quadrature tier (|rho| < 0.3, < 0.75, < 0.925)
+# and both signs of the near-singular branch
+ORACLE_POINTS = [
+    (0.5, -0.3, 0.93),
+    (1.5, 1.2, 0.99),
+    (-2.0, 0.7, -0.97),
+    (0.1, 0.2, 0.5),
+    (-1.0, -1.0, -0.999),
+    (3.0, -3.0, 0.95),
+    (0.0, 2.0, 0.924),
+    (2.2, 2.3, 0.999),
+    (-0.5, 1.7, -0.2),
+]
 
 
 class TestStdNormal:
@@ -98,18 +114,7 @@ class TestBvnCdf:
         assert bvn_cdf(-np.inf, 0.7, 0.5) == 0.0
 
     def test_against_mpmath_oracle(self):
-        points = [
-            (0.5, -0.3, 0.93),
-            (1.5, 1.2, 0.99),
-            (-2.0, 0.7, -0.97),
-            (0.1, 0.2, 0.5),
-            (-1.0, -1.0, -0.999),
-            (3.0, -3.0, 0.95),
-            (0.0, 2.0, 0.924),
-            (2.2, 2.3, 0.999),
-            (-0.5, 1.7, -0.2),
-        ]
-        for h, k, rho in points:
+        for h, k, rho in ORACLE_POINTS:
             assert abs(bvn_cdf(h, k, rho) - mp_bvn(h, k, rho)) < 1e-12
 
     @given(
@@ -150,6 +155,14 @@ class TestBvnCdf:
         out = bvn_cdf(h, 0.5, 0.3)
         assert out.shape == (3,)
         assert out[0] < out[1] < out[2]
+
+    def test_per_element_rho_matches_scalar_calls(self):
+        h, k, rhos = (np.array(c) for c in zip(*ORACLE_POINTS))
+        batched = _bvn_cdf_finite(h, k, rhos)
+        for i, (hi, ki, rho) in enumerate(ORACLE_POINTS):
+            alone = _bvn_cdf_finite(h[i : i + 1], k[i : i + 1], rho)[0]
+            assert abs(batched[i] - alone) <= 1e-15
+            assert abs(batched[i] - mp_bvn(hi, ki, rho)) < 1e-12
 
 
 class TestTruncatedNormal:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import factor_dataset
+from oplspm import estimation
 from oplspm import (
     EstimationError,
     bootstrap_inner,
@@ -197,3 +198,28 @@ class TestBootstrap:
         assert a.n_effective + a.n_failed == 30
         assert np.all(a.standard_errors > 0)
         assert np.all((0 <= a.p_values) & (a.p_values <= 1))
+
+    def test_only_package_errors_count_as_failed_replicates(self, rng, monkeypatch):
+        model = chain_model()
+        data = factor_dataset(model, rng, n=80)
+        real_fit = estimation.fit_correlation_model
+
+        def failing_on(nth, error):
+            # call 1 is the point estimate, calls 2.. are the replicates
+            calls = []
+
+            def fit(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == nth:
+                    raise error
+                return real_fit(*args, **kwargs)
+
+            return fit
+
+        monkeypatch.setattr(estimation, "fit_correlation_model", failing_on(3, EstimationError("singular")))
+        result = bootstrap_inner(data, model, mode="pls", n_boot=5, seed=4)
+        assert (result.n_effective, result.n_failed) == (4, 1)
+
+        monkeypatch.setattr(estimation, "fit_correlation_model", failing_on(3, TypeError("bad argument")))
+        with pytest.raises(TypeError, match="bad argument"):
+            bootstrap_inner(data, model, mode="pls", n_boot=5, seed=4)

@@ -1,17 +1,24 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from conftest import random_recursive_model, ordinal_dataset
+from oplspm import polychoric
 from oplspm import (
     ContingencyTable,
+    ConvergenceError,
     CorrelationMatrix,
     DataError,
     DataMatrix,
+    SimulationConfig,
     ThresholdSet,
     cell_probabilities,
     crosstab,
     estimate_thresholds,
+    generate_dataset,
     nearest_pd_repair,
     pearson_matrix,
     polychoric_matrix,
@@ -37,6 +44,36 @@ def grid_search(table, ts_h, ts_k, n_grid=2001):
         if ll > best_ll:
             best_rho, best_ll = rho, ll
     return best_rho, best_ll
+
+
+def brent_oracle(table, ts_h, ts_k):
+    """The pair solver before batching: 21-point scan, then bounded Brent."""
+    smoothed = table.smoothed()
+
+    def loglik(rho):
+        probs = cell_probabilities(ts_h, ts_k, rho)
+        return float(np.sum(smoothed * np.log(np.maximum(probs, 1e-300))))
+
+    scan = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
+    best = int(np.argmax([loglik(r) for r in scan]))
+    lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, scan.size - 1)]
+    result = minimize_scalar(
+        lambda r: -loglik(r), bounds=(lo, hi), method="bounded", options={"xatol": 1e-8}
+    )
+    candidates = [(float(result.x), -float(result.fun))]
+    candidates += [(b, loglik(b)) for b in (-RHO_BOUND, RHO_BOUND) if b in (lo, hi)]
+    return max(candidates, key=lambda c: c[1])[0]
+
+
+def pair_tables(data, thresholds, epsilon):
+    """{(h, k): (table, thresholds_h, thresholds_k)} for every column pair."""
+    codes = [ts.map_codes(data.codes(j)) for j, ts in enumerate(thresholds)]
+    out = {}
+    for h, k in itertools.combinations(range(data.n_cols), 2):
+        ts_h, ts_k = thresholds[h], thresholds[k]
+        counts = crosstab(codes[h], codes[k], ts_h.category_count, ts_k.category_count)
+        out[h, k] = (ContingencyTable(counts, epsilon=epsilon), ts_h, ts_k)
+    return out
 
 
 class TestThresholds:
@@ -223,12 +260,57 @@ class TestPolychoricMatrix:
         with pytest.raises(DataError, match="ordinal"):
             polychoric_matrix(data)
 
-    def test_threads_match_sequential(self, rng):
+    def test_entries_match_pairs_solved_alone(self, rng):
+        # columns with 2 to 10 categories, so every pair is padded in the batch
+        model = random_recursive_model(rng, n_latents=3, max_indicators=3)
+        data = ordinal_dataset(model, rng, n=150, npoints=10)
+        binary = (data.values[:, 0] > np.median(data.values[:, 0])).astype(float) + 1
+        data = DataMatrix(
+            np.column_stack([data.values, binary]), (*data.columns, "bin"), data.kinds + ("ordinal",)
+        )
+        sigma, thresholds = polychoric_matrix(data)
+        for (h, k), (table, ts_h, ts_k) in pair_tables(data, thresholds, epsilon=0.5).items():
+            alone = polychoric_pair(table, ts_h, ts_k)
+            assert abs(sigma.values[h, k] - alone.rho) <= 1e-12
+
+    def test_non_convergence_names_pair(self, rng, monkeypatch):
         model = random_recursive_model(rng, n_latents=3, max_indicators=2)
         data = ordinal_dataset(model, rng, n=150, npoints=4)
-        seq, _ = polychoric_matrix(data)
-        par, _ = polychoric_matrix(data, max_workers=4)
-        assert np.array_equal(seq.values, par.values)
+        monkeypatch.setattr(polychoric, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match=f"pair \\('{data.columns[0]}'") as info:
+            polychoric_matrix(data)
+        assert -RHO_BOUND <= info.value.best <= RHO_BOUND
+
+
+class TestBrentOracleAgreement:
+    """The batched solver against the pair-by-pair scan plus Brent it replaced."""
+
+    @staticmethod
+    def assert_agrees(data, epsilon):
+        sigma, thresholds = polychoric_matrix(data, epsilon=epsilon)
+        for (h, k), (table, ts_h, ts_k) in pair_tables(data, thresholds, epsilon).items():
+            assert abs(sigma.values[h, k] - brent_oracle(table, ts_h, ts_k)) <= 1e-6, (h, k)
+        return sigma
+
+    @pytest.mark.parametrize("law, npoints", [("normal", 4), ("beta", 9)])
+    def test_simulation_samples(self, law, npoints):
+        config = SimulationConfig(latent_law=law, npoints=npoints, replications=1, seed=5)
+        data, _ = generate_dataset(config, np.random.default_rng([config.seed, 0]))
+        self.assert_agrees(data, epsilon=0.0)
+
+    def test_sparse_survey_sample(self, rng):
+        model = random_recursive_model(rng, n_latents=4, max_indicators=3)
+        self.assert_agrees(ordinal_dataset(model, rng, n=250, npoints=10), epsilon=0.5)
+
+    def test_concordant_pairs_at_bound(self, rng):
+        col = rng.integers(1, 5, size=200).astype(float)
+        other = rng.integers(1, 5, size=200).astype(float)
+        data = DataMatrix(
+            np.column_stack([col, col, 5.0 - col, other]), ("a", "b", "c", "d"), ("ordinal",) * 4
+        )
+        sigma = self.assert_agrees(data, epsilon=0.0)
+        assert sigma.values[0, 1] == RHO_BOUND
+        assert sigma.values[0, 2] == sigma.values[1, 2] == -RHO_BOUND
 
 
 class TestPearsonMatrix:
