@@ -8,7 +8,6 @@ comparing the Pearson and polychoric routes.
 
 from .distributions import (
     bvn_cdf,
-    sample_standard_normal,
     sample_standardized_beta,
     std_normal_cdf,
     std_normal_pdf,

@@ -41,24 +41,18 @@ EXIT_NONCONVERGENCE = 3
 EXIT_INTERNAL = 4
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(path: Path, header, rows) -> Path:
+    """Write a header and rows of Python str, int, float, bool or None cells.
+
+    The csv module writes None as an empty cell and everything else with
+    ``str``, which for a Python float is its shortest round-trip form (full
+    double precision). Convert numpy values first (``ndarray.tolist()``,
+    ``float()``): their ``str`` follows numpy's print options.
+    """
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(rows)
     return path
 
 
@@ -131,12 +125,11 @@ def cmd_fit(args) -> int:
 
     files = []
     weight_rows = []
+    raw, standardized = fit.weights.raw.tolist(), fit.weights.standardized.tolist()
     for j, latent in enumerate(model.latent_names):
         for h, name in enumerate(model.blocks[j]):
             k = model.block_slice(j).start + h
-            weight_rows.append(
-                [name, latent, fit.weights.raw[k, j], fit.weights.standardized[k, j]]
-            )
+            weight_rows.append([name, latent, raw[k][j], standardized[k][j]])
     files.append(
         _write_csv(out / "weights.csv",
                    ["indicator", "latent", "raw_weight", "standardized_weight"], weight_rows)
@@ -145,11 +138,11 @@ def cmd_fit(args) -> int:
     inner_rows = []
     boot_lookup = {}
     if boot is not None:
-        boot_lookup = {
-            name: (boot.standard_errors[i], boot.p_values[i]) for i, name in enumerate(boot.names)
-        }
+        boot_lookup = dict(
+            zip(boot.names, zip(boot.standard_errors.tolist(), boot.p_values.tolist()))
+        )
     for eq in fit.inner:
-        for cov, b in zip(eq.covariates, eq.coefficients):
+        for cov, b in zip(eq.covariates, eq.coefficients.tolist()):
             row = [eq.target, cov, b]
             if boot is not None:
                 se, p = boot_lookup[(eq.target, cov)]
@@ -168,10 +161,11 @@ def cmd_fit(args) -> int:
     )
 
     loading_rows = []
+    loadings, residuals = fit.loadings.tolist(), fit.loading_residuals.tolist()
     for j, latent in enumerate(model.latent_names):
         for h, name in enumerate(model.blocks[j]):
             k = model.block_slice(j).start + h
-            loading_rows.append([name, latent, fit.loadings[k], fit.loading_residuals[k]])
+            loading_rows.append([name, latent, loadings[k], residuals[k]])
     files.append(
         _write_csv(out / "loadings.csv",
                    ["indicator", "latent", "loading", "residual_variance"], loading_rows)
@@ -181,7 +175,8 @@ def cmd_fit(args) -> int:
         _write_csv(
             out / "latent_correlations.csv",
             ["latent", *model.latent_names],
-            [[name, *fit.latent_correlations[j]] for j, name in enumerate(model.latent_names)],
+            [[name, *row]
+             for name, row in zip(model.latent_names, fit.latent_correlations.tolist())],
         )
     )
     files.append(
@@ -216,7 +211,7 @@ def cmd_polychoric(args) -> int:
         _write_csv(
             out / "polychoric_matrix.csv",
             ["variable", *data.columns],
-            [[name, *sigma.values[j]] for j, name in enumerate(data.columns)],
+            [[name, *row] for name, row in zip(data.columns, sigma.values.tolist())],
         ),
         _write_csv(
             out / "thresholds.csv",
@@ -224,7 +219,7 @@ def cmd_polychoric(args) -> int:
             [
                 [name, i + 1, cut]
                 for name, ts in zip(data.columns, thresholds)
-                for i, cut in enumerate(ts.cuts)
+                for i, cut in enumerate(ts.cuts.tolist())
             ],
         ),
         _write_csv(
@@ -259,7 +254,7 @@ def cmd_predict_scores(args) -> int:
         _write_csv(
             out / "predicted_categories.csv",
             ["subject", *model.latent_names],
-            [[s + 1, *predicted[s]] for s in range(data.n_rows)],
+            np.column_stack([np.arange(1, data.n_rows + 1), predicted]).tolist(),
         ),
         _write_csv(
             out / "latent_thresholds.csv",
@@ -267,7 +262,7 @@ def cmd_predict_scores(args) -> int:
             [
                 [name, i + 1, cut]
                 for j, name in enumerate(model.latent_names)
-                for i, cut in enumerate(lt.cuts[j])
+                for i, cut in enumerate(lt.cuts[j].tolist())
             ],
         ),
     ]
@@ -286,7 +281,9 @@ def cmd_predict_scores(args) -> int:
                 i_max = lt.category_counts[j]
                 rounded = np.clip(np.floor(raw[:, j] + 0.5), 1, i_max).astype(int)
                 table = concordance_table(pred[:, j : j + 1], rounded[:, None])
-                rows.append([rule, latent, table["exact"][0], table["within_one"][0]])
+                rows.append(
+                    [rule, latent, float(table["exact"][0]), float(table["within_one"][0])]
+                )
         files.append(
             _write_csv(
                 out / "coherency.csv",
@@ -314,7 +311,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for row in report.summary_rows():
         rows.append(
-            [row["section"], row["parameter"], row["true_value"], *row["percentiles"],
+            [row["section"], row["parameter"], row["true_value"], *row["percentiles"].tolist(),
              row["mean"], row["sd"], row["geometric_mean"], row["n_used"], row["n_excluded"]]
         )
     files = [

@@ -21,7 +21,6 @@ __all__ = [
     "bvn_cdf",
     "truncated_normal_mean",
     "truncated_normal_median",
-    "sample_standard_normal",
     "sample_standardized_beta",
 ]
 
@@ -306,14 +305,6 @@ def truncated_normal_median(alpha, beta):
     beta = np.asarray(beta, dtype=float)
     out = ndtri(0.5 * (ndtr(alpha) + ndtr(beta)))
     return float(out) if out.ndim == 0 else out
-
-
-def sample_standard_normal(rng, n):
-    """Draw ``n`` standard normal variates from the given generator."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    return rng.standard_normal(n)
 
 
 def sample_standardized_beta(alpha, beta, rng, n):

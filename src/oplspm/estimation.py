@@ -68,11 +68,23 @@ class FitResult:
     def loading_residuals(self) -> np.ndarray:
         return 1.0 - self.loadings**2
 
+    def path_coefficients(self, paths) -> np.ndarray:
+        """Inner coefficients of the given (target, covariate) paths, in order."""
+        lookup = {
+            (eq.target, cov): b
+            for eq in self.inner
+            for cov, b in zip(eq.covariates, eq.coefficients.tolist())
+        }
+        try:
+            return np.array([lookup[path] for path in paths])
+        except KeyError as exc:
+            target, covariate = exc.args[0]
+            raise EstimationError(
+                f"no inner coefficient for path {covariate} -> {target}"
+            ) from None
+
     def inner_coefficient(self, target: str, covariate: str) -> float:
-        for eq in self.inner:
-            if eq.target == target and covariate in eq.covariates:
-                return float(eq.coefficients[eq.covariates.index(covariate)])
-        raise EstimationError(f"no inner coefficient for path {covariate} -> {target}")
+        return float(self.path_coefficients([(target, covariate)])[0])
 
 
 def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation]:
@@ -130,7 +142,7 @@ def cronbach_alpha_ordinal(block_matrix: np.ndarray) -> float:
     p = r.shape[0]
     if r.ndim != 2 or r.shape != (p, p) or p < 2:
         raise EstimationError("Cronbach's alpha needs a square block with at least 2 items")
-    return (p / (p - 1.0)) * (1.0 - p / r.sum())
+    return float((p / (p - 1.0)) * (1.0 - p / r.sum()))
 
 
 def dillon_goldstein_rho(loadings) -> float:
@@ -141,7 +153,7 @@ def dillon_goldstein_rho(loadings) -> float:
     if np.any(np.abs(lams) > 1.0):
         raise EstimationError("loadings must lie in [-1, 1]")
     total = lams.sum() ** 2
-    return total / (total + np.sum(1.0 - lams**2))
+    return float(total / (total + np.sum(1.0 - lams**2)))
 
 
 def fit_correlation_model(
@@ -207,14 +219,6 @@ class BootstrapResult:
     n_failed: int
 
 
-def _inner_vector(fit: FitResult, names) -> np.ndarray:
-    lookup = {}
-    for eq in fit.inner:
-        for cov, b in zip(eq.covariates, eq.coefficients):
-            lookup[(eq.target, cov)] = float(b)
-    return np.array([lookup[name] for name in names])
-
-
 def bootstrap_inner(
     data: DataMatrix,
     model: PathModel,
@@ -242,7 +246,7 @@ def bootstrap_inner(
 
     point = fit_once(data)
     names = [(eq.target, cov) for eq in point.inner for cov in eq.covariates]
-    estimates = _inner_vector(point, names)
+    estimates = point.path_coefficients(names)
 
     rng = np.random.default_rng(seed)
     draws = []
@@ -253,7 +257,7 @@ def bootstrap_inner(
             values=data.values[idx], columns=data.columns, kinds=data.kinds
         )
         try:
-            draws.append(_inner_vector(fit_once(resampled), names))
+            draws.append(fit_once(resampled).path_coefficients(names))
         except OplsError:
             failed += 1
     if not draws:

@@ -21,9 +21,9 @@ rejected if the inner graph has a cycle.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field
-from pathlib import Path
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -118,12 +118,6 @@ class PathModel:
         for j in range(self.n_latents):
             chi[self.block_slice(j), j] = 1.0
         return chi
-
-    def latent_index(self, name: str) -> int:
-        try:
-            return self.latent_names.index(name)
-        except ValueError:
-            raise ModelError(f"unknown latent '{name}'") from None
 
 
 def _toposort_endogenous(endogenous, edges):
@@ -267,7 +261,6 @@ class DataMatrix:
     values: np.ndarray
     columns: tuple[str, ...]
     kinds: tuple[str, ...]
-    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -289,7 +282,6 @@ class DataMatrix:
                     raise DataError(
                         f"ordinal column '{self.columns[j]}' must hold integer codes >= 1"
                     )
-        self._index = {name: j for j, name in enumerate(self.columns)}
 
     @property
     def n_rows(self) -> int:
@@ -307,45 +299,92 @@ class DataMatrix:
     def all_interval(self) -> bool:
         return all(kind == INTERVAL for kind in self.kinds)
 
-    def column(self, name: str) -> np.ndarray:
-        if name not in self._index:
-            raise DataError(f"unknown column '{name}'")
-        return self.values[:, self._index[name]]
-
     def codes(self, j: int) -> np.ndarray:
         if self.kinds[j] != ORDINAL:
             raise DataError(f"column '{self.columns[j]}' is not ordinal")
         return self.values[:, j].astype(int)
 
 
-def _read_csv_rows(source):
+_CHUNK_ROWS = 8192
+
+
+def _filled(row) -> bool:
+    return any(cell.strip() for cell in row)
+
+
+@contextmanager
+def _csv_reader(source):
     if hasattr(source, "read"):
-        text = source.read()
+        yield csv.reader(source)
     else:
-        text = Path(source).read_text(encoding="utf-8")
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
-    if len(rows) < 2:
-        raise DataError("CSV needs a header row and at least one data row")
-    return [cell.strip() for cell in rows[0]], rows[1:]
+        with open(source, encoding="utf-8") as handle:
+            yield csv.reader(handle)
 
 
-def _parse_cells(header, rows):
+def _parse_cells(header, rows, first_row):
+    """Per-cell conversion of one chunk, dropping whitespace-only rows.
+
+    Row numbers in messages count the header and every non-blank row, the
+    first row of ``rows`` being number ``first_row``. Returns the values and
+    the number of non-blank rows.
+    """
+    rows = [row for row in rows if _filled(row)]
     values = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, start=first_row):
         if len(row) != len(header):
-            raise DataError(f"row {i + 2}: expected {len(header)} cells, got {len(row)}")
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(row)}")
         for j, cell in enumerate(row):
             cell = cell.strip()
             if not cell:
-                raise DataError(f"missing value at row {i + 2}, column '{header[j]}'")
+                raise DataError(f"missing value at row {i}, column '{header[j]}'")
             try:
-                values[i, j] = float(cell)
+                values[i - first_row, j] = float(cell)
             except ValueError:
                 raise DataError(
-                    f"non-numeric value '{cell}' at row {i + 2}, column '{header[j]}'"
+                    f"non-numeric value '{cell}' at row {i}, column '{header[j]}'"
                 ) from None
-    return values
+    return values, len(rows)
+
+
+def _chunk_values(header, rows, first_row):
+    # One conversion for the whole chunk; only a chunk that fails it (a bad
+    # cell, a short row, a whitespace-only row) goes through the cell loop,
+    # which raises the message naming the offending row.
+    k = len(header)
+    if set(map(len, rows)) == {k}:
+        try:
+            cells = map(float, chain.from_iterable(rows))
+            flat = np.fromiter(cells, dtype=float, count=len(rows) * k)
+        except ValueError:
+            pass
+        else:
+            return flat.reshape(len(rows), k), len(rows)
+    return _parse_cells(header, rows, first_row)
+
+
+def _read_values(source, select=None):
+    """Stream a header+rows CSV into an N x K float matrix.
+
+    Rows are converted in chunks of ``_CHUNK_ROWS``, so only one chunk of
+    cell strings exists at a time. ``select(header)`` may validate the
+    header and return the column order to keep; it runs before any cell is
+    converted. Returns the header and the values.
+    """
+    with _csv_reader(source) as reader:
+        lines = filter(None, reader)  # csv yields [] for an empty line
+        nonblank = (row for row in lines if _filled(row))
+        header, first = next(nonblank, None), next(nonblank, None)
+        if first is None:
+            raise DataError("CSV needs a header row and at least one data row")
+        header = [cell.strip() for cell in header]
+        order = select(header) if select is not None else None
+        rows = chain([first], lines)
+        blocks, row_no = [], 2
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            values, n = _chunk_values(header, chunk, row_no)
+            blocks.append(values if order is None else values[:, order])
+            row_no += n
+    return header, np.concatenate(blocks)
 
 
 def _infer_kind(col: np.ndarray) -> str:
@@ -369,8 +408,7 @@ def load_csv(source, kinds=None) -> DataMatrix:
     ordinal), a single kind applied to all columns, or a mapping from
     column name to kind.
     """
-    header, rows = _read_csv_rows(source)
-    values = _parse_cells(header, rows)
+    header, values = _read_values(source)
     return DataMatrix(values=values, columns=tuple(header), kinds=_resolve_kinds(header, values, kinds))
 
 
@@ -379,16 +417,17 @@ def load_data(source, model: PathModel, kinds=None) -> DataMatrix:
 
     The header must contain exactly the model's indicators, in any order.
     """
-    header, rows = _read_csv_rows(source)
     expected = model.indicator_names
-    missing = [name for name in expected if name not in header]
-    if missing:
-        raise DataError(f"missing data column '{missing[0]}'")
-    extra = [name for name in header if name not in expected]
-    if extra:
-        raise DataError(f"unexpected data column '{extra[0]}'")
-    values = _parse_cells(header, rows)
-    order = [header.index(name) for name in expected]
-    values = values[:, order]
+
+    def select(header):
+        missing = [name for name in expected if name not in header]
+        if missing:
+            raise DataError(f"missing data column '{missing[0]}'")
+        extra = [name for name in header if name not in expected]
+        if extra:
+            raise DataError(f"unexpected data column '{extra[0]}'")
+        return [header.index(name) for name in expected]
+
+    _, values = _read_values(source, select)
     resolved = _resolve_kinds(list(expected), values, kinds)
     return DataMatrix(values=values, columns=expected, kinds=resolved)

@@ -30,7 +30,6 @@ from .model import DataMatrix, PathModel
 from .polychoric import CorrelationMatrix
 
 __all__ = [
-    "INNER_SCHEME",
     "FitTrace",
     "WeightState",
     "MatrixPLSResult",
@@ -39,10 +38,6 @@ __all__ = [
     "matrix_pls_fit",
     "score_based_pls_fit",
 ]
-
-# The only inner weighting scheme implemented: instrumental variables are
-# sign-weighted sums of each composite's graph neighbors.
-INNER_SCHEME = "centroid"
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 300

@@ -46,6 +46,8 @@ _LOG_FLOOR = 1e-300
 _SCAN = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
 _MAX_ITER = 100
 _NOT_CONVERGED = f"polychoric optimizer failed: no convergence in {_MAX_ITER} iterations"
+# Bytes of one row chunk of the one-hot code matrix in the count pass.
+_CHUNK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,17 @@ class ThresholdSet:
 
     def map_codes(self, codes: np.ndarray) -> np.ndarray:
         """Translate original codes to contiguous internal codes 1..I_k."""
-        lookup = {code: i + 1 for i, code in enumerate(self.categories)}
-        try:
-            return np.array([lookup[int(c)] for c in codes])
-        except KeyError as exc:
-            raise DataError(f"category code {exc.args[0]} was not seen at threshold estimation") from None
+        codes = np.asarray(codes).astype(int, copy=False)
+        top = self.categories[-1]
+        lut = np.zeros(top + 1, dtype=int)  # 0 marks a code that was not seen
+        lut[list(self.categories)] = np.arange(1, self.category_count + 1)
+        inside = np.clip(codes, 0, top)
+        mapped = lut[inside]
+        bad = (mapped == 0) | (inside != codes)
+        if bad.any():
+            code = int(codes[np.argmax(bad)])
+            raise DataError(f"category code {code} was not seen at threshold estimation")
+        return mapped
 
 
 @dataclass(frozen=True)
@@ -208,14 +216,15 @@ def _check_table(table: ContingencyTable, thresholds_h: ThresholdSet, thresholds
         raise DataError("degenerate table: all mass in one row or column")
 
 
-def _solve_pairs(tables, cuts_h, cuts_k, xatol=1e-8):
+def _solve_pairs(weights, cuts_h, cuts_k, xatol=1e-8):
     """Two-step ML correlation of many pair tables at once.
 
-    ``tables[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
+    ``weights[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
     ``cuts_k[p]`` its interior thresholds. Every pair is padded to one
-    corner grid: padded limits are +inf and padded cells hold zero counts,
-    so they add exactly 0 to the loglikelihood and its derivatives, and a
-    pair's result does not depend on which pairs share its batch.
+    corner grid: ``weights`` is stacked at the largest table shape with
+    zero counts in the padded cells, and padded limits are +inf, so they
+    add exactly 0 to the loglikelihood and its derivatives, and a pair's
+    result does not depend on which pairs share its batch.
 
     A 21-point scan over [-0.999, 0.999] brackets each pair's maximum
     between the neighbours of its best scan point. Newton steps on the
@@ -227,17 +236,13 @@ def _solve_pairs(tables, cuts_h, cuts_k, xatol=1e-8):
 
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
-    n = len(tables)
-    rows = max(c.size for c in cuts_h)
-    cols = max(c.size for c in cuts_k)
-    lim_h = np.full((n, rows + 2), np.inf)
-    lim_k = np.full((n, cols + 2), np.inf)
+    n, rows, cols = weights.shape
+    lim_h = np.full((n, rows + 1), np.inf)
+    lim_k = np.full((n, cols + 1), np.inf)
     lim_h[:, 0] = lim_k[:, 0] = -np.inf
-    weights = np.zeros((n, rows + 1, cols + 1))
-    for p, (table, ch, ck) in enumerate(zip(tables, cuts_h, cuts_k)):
+    for p, (ch, ck) in enumerate(zip(cuts_h, cuts_k)):
         lim_h[p, 1 : 1 + ch.size] = ch
         lim_k[p, 1 : 1 + ck.size] = ck
-        weights[p, : table.shape[0], : table.shape[1]] = table
 
     # CDF corners on an infinite limit are marginals fixed by the
     # thresholds; only the finite interior corners depend on rho.
@@ -338,7 +343,7 @@ def polychoric_pair(
     """
     _check_table(table, thresholds_h, thresholds_k)
     rho, loglik, converged = _solve_pairs(
-        [table.smoothed()], [thresholds_h.cuts], [thresholds_k.cuts], xatol=xatol
+        table.smoothed()[None], [thresholds_h.cuts], [thresholds_k.cuts], xatol=xatol
     )
     if not converged[0]:
         raise ConvergenceError(_NOT_CONVERGED, best=float(rho[0]))
@@ -347,9 +352,59 @@ def polychoric_pair(
 
 def crosstab(codes_h: np.ndarray, codes_k: np.ndarray, n_h: int, n_k: int) -> np.ndarray:
     """Count table of two contiguous 1-based code vectors."""
-    counts = np.zeros((n_h, n_k))
-    np.add.at(counts, (np.asarray(codes_h) - 1, np.asarray(codes_k) - 1), 1.0)
-    return counts
+    codes_h, codes_k = np.asarray(codes_h), np.asarray(codes_k)
+    for codes, n in ((codes_h, n_h), (codes_k, n_k)):
+        if codes.size and (codes.min() < 1 or codes.max() > n):
+            raise DataError(f"codes must lie in 1..{n}")
+    cells = (codes_h - 1) * n_k + (codes_k - 1)
+    return np.bincount(cells, minlength=n_h * n_k).reshape(n_h, n_k).astype(float)
+
+
+def _code_gram(codes, offsets, width) -> np.ndarray:
+    """Cross-product O^T O of the one-hot code matrix O, from one pass over the rows.
+
+    ``codes`` is N x K with internal codes 1..I_k in column k, and column
+    k's indicator columns start at ``offsets[k]`` of O's ``width``. Block
+    (h, k) of the result is the count table of columns h and k, and the
+    diagonal blocks hold the marginal counts. O is built a row chunk at a
+    time in float32, exact for 0/1 entries and for chunk sums below 2**24,
+    and the chunk products are summed in float64.
+    """
+    n = codes.shape[0]
+    step = max(1, _CHUNK_BYTES // (4 * width))
+    gram = np.zeros((width, width))
+    for start in range(0, n, step):
+        cols = codes[start : start + step] - 1 + offsets
+        onehot = np.zeros((cols.shape[0], width), dtype=np.float32)
+        np.put_along_axis(onehot, cols, 1.0, axis=1)
+        gram += onehot.T @ onehot
+    return gram
+
+
+def _pair_tables(codes, thresholds, pairs, epsilon):
+    """Smoothed count tables of all pairs, stacked at the largest row and column counts.
+
+    Every table is a block of the one-hot cross-product; its shape comes
+    from the pair's threshold sets. Padded cells hold zero counts. Returns
+    the stacked tables and the index of the first degenerate pair (all
+    mass in one row or column), or None.
+    """
+    sizes = np.array([ts.category_count for ts in thresholds])
+    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    gram = _code_gram(codes, offsets, int(sizes.sum()))
+    h, k = pairs.T
+    span_h, span_k = np.arange(sizes[h].max()), np.arange(sizes[k].max())
+    real_h = span_h < sizes[h, None]
+    real_k = span_k < sizes[k, None]
+    rows = np.where(real_h, offsets[h, None] + span_h, 0)
+    cols = np.where(real_k, offsets[k, None] + span_k, 0)
+    real = real_h[:, :, None] & real_k[:, None, :]
+    counts = np.where(real, gram[rows[:, :, None], cols[:, None, :]], 0.0)
+    degenerate = (np.count_nonzero(counts.sum(axis=2), axis=1) < 2) | (
+        np.count_nonzero(counts.sum(axis=1), axis=1) < 2
+    )
+    first = int(np.argmax(degenerate)) if degenerate.any() else None
+    return np.where(real & (counts == 0), epsilon, counts), first
 
 
 def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = False):
@@ -372,40 +427,35 @@ def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = 
     if not data.all_ordinal:
         raise DataError("polychoric correlations require all columns to be ordinal")
     thresholds = []
-    collapsed = []
     for j in range(data.n_cols):
         try:
-            ts = estimate_thresholds(data.codes(j))
+            thresholds.append(estimate_thresholds(data.codes(j)))
         except DataError as exc:
             raise DataError(f"column '{data.columns[j]}': {exc}") from None
-        thresholds.append(ts)
-        collapsed.append(ts.map_codes(data.codes(j)))
+    most = max((ts.category_count for ts in thresholds), default=1)
+    collapsed = np.empty(data.values.shape, dtype=np.min_scalar_type(most))
+    for j, ts in enumerate(thresholds):
+        collapsed[:, j] = ts.map_codes(data.codes(j))
 
-    def label(h, k):
+    def label(p):
+        h, k = pairs[p]
         return f"pair ('{data.columns[h]}', '{data.columns[k]}')"
 
-    pairs = list(itertools.combinations(range(data.n_cols), 2))
-    tables = []
-    for h, k in pairs:
-        counts = crosstab(
-            collapsed[h], collapsed[k], thresholds[h].category_count, thresholds[k].category_count
-        )
-        try:
-            table = ContingencyTable(counts=counts, epsilon=epsilon)
-            _check_table(table, thresholds[h], thresholds[k])
-        except DataError as exc:
-            raise DataError(f"{label(h, k)}: {exc}") from None
-        tables.append(table.smoothed())
-
+    pairs = np.array(list(itertools.combinations(range(data.n_cols), 2)), dtype=int)
     values = np.eye(data.n_cols)
-    if pairs:
+    if pairs.size:
+        if epsilon < 0:
+            raise DataError(f"{label(0)}: smoothing epsilon must be nonnegative")
+        tables, degenerate = _pair_tables(collapsed, thresholds, pairs, epsilon)
+        if degenerate is not None:
+            raise DataError(f"{label(degenerate)}: degenerate table: all mass in one row or column")
         rho, _, converged = _solve_pairs(
             tables, [thresholds[h].cuts for h, _ in pairs], [thresholds[k].cuts for _, k in pairs]
         )
         if not converged.all():
             p = int(np.argmin(converged))
-            raise ConvergenceError(f"{label(*pairs[p])}: {_NOT_CONVERGED}", best=float(rho[p]))
-        h, k = np.array(pairs).T
+            raise ConvergenceError(f"{label(p)}: {_NOT_CONVERGED}", best=float(rho[p]))
+        h, k = pairs.T
         values[h, k] = values[k, h] = rho
     return CorrelationMatrix.build(values, kind="polychoric", repair=repair_pd), thresholds
 

@@ -133,9 +133,13 @@ def _overlap_probabilities(alpha, beta, padded_cuts):
     """
     lower_bounds = np.concatenate([[-np.inf], padded_cuts[1:-1]])
     upper_bounds = np.concatenate([padded_cuts[1:-1], [np.inf]])
-    hi = ndtr(np.minimum(beta[:, None], upper_bounds[None, :]))
-    lo = ndtr(np.maximum(alpha[:, None], lower_bounds[None, :]))
-    return np.clip(hi - lo, 0.0, None)
+    # in place: these are N x I arrays, the largest of a prediction
+    hi = np.minimum(beta[:, None], upper_bounds[None, :])
+    ndtr(hi, out=hi)
+    lo = np.maximum(alpha[:, None], lower_bounds[None, :])
+    ndtr(lo, out=lo)
+    hi -= lo
+    return np.clip(hi, 0.0, None, out=hi)
 
 
 def _bin_statistic(stat, interior_cuts):

@@ -326,14 +326,6 @@ class BiasReport:
         return rows
 
 
-def _extract_inner(fit) -> np.ndarray:
-    lookup = {}
-    for eq in fit.inner:
-        for cov, b in zip(eq.covariates, eq.coefficients):
-            lookup[(eq.target, cov)] = float(b)
-    return np.array([lookup[PARAMETER_PATHS[p]] for p in PARAMETERS])
-
-
 def run_study(config: SimulationConfig) -> BiasReport:
     """Run the full replication loop for one (law, npoints) cell.
 
@@ -346,6 +338,8 @@ def run_study(config: SimulationConfig) -> BiasReport:
     bias_pls, bias_opls = [], []
     lam_pls, lam_opls, w_pls, w_opls = [], [], [], []
     failures = []
+    truth = np.array([TRUE_VALUES[p] for p in PARAMETERS])
+    paths = [PARAMETER_PATHS[p] for p in PARAMETERS]
     for rep in range(config.replications):
         rng = np.random.default_rng([config.seed, rep])
         try:
@@ -360,9 +354,8 @@ def run_study(config: SimulationConfig) -> BiasReport:
         except (DataError, ConvergenceError, EstimationError) as exc:
             failures.append({"replication": rep, "error": str(exc)})
             continue
-        truth = np.array([TRUE_VALUES[p] for p in PARAMETERS])
-        bias_pls.append(_extract_inner(fit_p) - truth)
-        bias_opls.append(_extract_inner(fit_o) - truth)
+        bias_pls.append(fit_p.path_coefficients(paths) - truth)
+        bias_opls.append(fit_o.path_coefficients(paths) - truth)
         lam_pls.append(fit_p.loadings)
         lam_opls.append(fit_o.loadings)
         w_pls.append(fit_p.weights.raw[model.weight_pattern() == 1.0])

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import ordinal_dataset, random_recursive_model
-from oplspm import fit_correlation_model, parse_model, pearson_matrix
+from oplspm import (
+    fit_correlation_model,
+    latent_thresholds,
+    load_data,
+    parse_model,
+    pearson_matrix,
+    polychoric_matrix,
+    predict_categories,
+)
 from oplspm.cli import main
 
 MODEL_TEXT = (
@@ -222,3 +230,78 @@ class TestSimulateCommand:
         }
         ratio_rows = [r for r in rows if r["section"] == "ratio"]
         assert all(r["geometric_mean"] != "" for r in ratio_rows)
+
+
+def fmt_writer(path, header, rows):
+    """The per-cell formatter the CLI used before writing Python values directly."""
+
+    def fmt(value):
+        if value is None:
+            return ""
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value))
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(cell) for cell in row])
+
+
+class TestOutputFormat:
+    def test_predict_scores_bytes_match_fmt_writer(self, tmp_path, rng):
+        model, _, model_path, data_path = write_inputs(tmp_path, rng, npoints=6)
+        out = tmp_path / "out"
+        assert main(
+            ["predict-scores", "--model", str(model_path), "--data", str(data_path),
+             "--rule", "median", "--out", str(out)]
+        ) == 0
+        data = load_data(data_path, model, kinds="ordinal")
+        sigma, thresholds = polychoric_matrix(data)
+        fit = fit_correlation_model(sigma, model, mode="opls")
+        lt = latent_thresholds(thresholds, fit.weights.standardized, model)
+        predicted = predict_categories(
+            data, lt, thresholds, fit.weights.standardized, model, rule="median"
+        )
+        fmt_writer(
+            tmp_path / "predicted.csv", ["subject", *model.latent_names],
+            [[s + 1, *predicted[s]] for s in range(data.n_rows)],
+        )
+        fmt_writer(
+            tmp_path / "thresholds.csv", ["latent", "cut_index", "value"],
+            [[name, i + 1, cut] for j, name in enumerate(model.latent_names)
+             for i, cut in enumerate(lt.cuts[j])],
+        )
+        assert (out / "predicted_categories.csv").read_bytes() == (
+            tmp_path / "predicted.csv"
+        ).read_bytes()
+        assert (out / "latent_thresholds.csv").read_bytes() == (
+            tmp_path / "thresholds.csv"
+        ).read_bytes()
+
+    def test_outputs_ignore_numpy_print_options(self, tmp_path, rng):
+        # numpy scalars reaching the csv module would be written with str(),
+        # which follows numpy's print options; the legacy mode keeps 12 digits
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        common = ["--model", str(model_path), "--data", str(data_path)]
+        runs = {
+            "opls": ["fit", *common, "--mode", "opls", "--bootstrap", "2"],
+            "pls": ["fit", *common, "--mode", "pls", "--bootstrap", "5"],
+            "poly": ["polychoric", "--data", str(data_path)],
+            "pred": ["predict-scores", *common, "--coherency"],
+            "sim": ["simulate", "--reps", "2", "--n", "120", "--seed", "1"],
+        }
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / "plain" / name)]) == 0, name
+            with np.printoptions(legacy="1.13"):
+                assert main([*argv, "--out", str(tmp_path / "legacy" / name)]) == 0, name
+        files = sorted((tmp_path / "plain").glob("*/*.csv"))
+        assert len(files) == 23
+        for path in files:
+            legacy = tmp_path / "legacy" / path.relative_to(tmp_path / "plain")
+            assert path.read_bytes() == legacy.read_bytes(), path.name

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oplspm import (
     bvn_cdf,
-    sample_standard_normal,
     sample_standardized_beta,
     std_normal_cdf,
     std_normal_pdf,
@@ -31,11 +30,15 @@ def mp_quantile(p):
 
 
 def mp_bvn(h, k, rho):
-    # 1-D reduction of the bivariate cdf, integrated at high precision
-    rho = mp.mpf(repr(rho))
+    # 1-D reduction of the bivariate cdf, integrated at high precision. The
+    # integrand steps at x = k / rho, sharply when |rho| is near 1, so the
+    # quadrature is split there and at 0.
+    h, k, rho = (mp.mpf(repr(v)) for v in (h, k, rho))
     scale = mp.sqrt(1 - rho**2)
-    f = lambda x: mp.npdf(x) * mp.ncdf((mp.mpf(repr(k)) - rho * x) / scale)
-    return float(mp.quad(f, [-mp.inf, mp.mpf(repr(h))]))
+    f = lambda x: mp.npdf(x) * mp.ncdf((k - rho * x) / scale)
+    steps = [mp.mpf(0)] + ([k / rho] if rho != 0 else [])
+    points = [-mp.inf, *sorted(x for x in steps if x < h), h]
+    return float(mp.quad(f, points))
 
 
 # (h, k, rho) covering every quadrature tier (|rho| < 0.3, < 0.75, < 0.925)
@@ -49,6 +52,7 @@ ORACLE_POINTS = [
     (3.0, -3.0, 0.95),
     (0.0, 2.0, 0.924),
     (2.2, 2.3, 0.999),
+    (2.2, 2.3, -0.999),
     (-0.5, 1.7, -0.2),
 ]
 
@@ -212,20 +216,6 @@ class TestTruncatedNormal:
 
 
 class TestSamplers:
-    def test_normal_determinism(self):
-        a = sample_standard_normal(np.random.default_rng(5), 3)
-        b = sample_standard_normal(np.random.default_rng(5), 3)
-        assert np.array_equal(a, b)
-
-    def test_normal_moments(self):
-        x = sample_standard_normal(np.random.default_rng(1), 100_000)
-        assert abs(x.mean()) < 4.0 / math.sqrt(100_000)
-        assert abs(x.var(ddof=1) - 1.0) < 0.05
-
-    def test_normal_size_validation(self):
-        with pytest.raises(ValueError):
-            sample_standard_normal(np.random.default_rng(0), 0)
-
     @pytest.mark.parametrize(
         "alpha,beta,skew",
         [(11.0, 2.0, -0.9573), (16.0, 3.0, -0.7992), (54.0, 7.0, -0.6043)],

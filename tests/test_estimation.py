@@ -176,6 +176,22 @@ class TestFitResult:
             assert rel.dillon_goldstein is not None
         assert fit.inner_coefficient("b", "a") == fit.inner[0].coefficients[0]
 
+    def test_path_coefficients_in_requested_order(self, rng):
+        model = chain_model()
+        fit = fit_correlation_model(pearson_matrix(factor_dataset(model, rng)), model)
+        by_path = {
+            (eq.target, cov): b
+            for eq in fit.inner
+            for cov, b in zip(eq.covariates, eq.coefficients)
+        }
+        paths = [("c", "b"), ("b", "a"), ("c", "a")]
+        assert fit.path_coefficients(paths).tolist() == [by_path[p] for p in paths]
+        assert fit.inner_coefficient("c", "a") == by_path[("c", "a")]
+        with pytest.raises(EstimationError, match="no inner coefficient for path c -> a"):
+            fit.path_coefficients([("b", "a"), ("a", "c")])
+        with pytest.raises(EstimationError, match="path c -> b"):
+            fit.inner_coefficient("b", "c")
+
     def test_single_indicator_block_reliability_is_none(self, rng):
         model = build_model(
             "mix", ["a"], ["b"], {"a": ["x1"], "b": ["y1", "y2"]}, [("a", "b")]

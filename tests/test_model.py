@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ECSI_MODEL, random_recursive_model
+from oplspm import model as model_module
 from oplspm import (
     DataError,
     DataMatrix,
@@ -159,3 +160,69 @@ class TestLoadData:
         data = load_csv(io.StringIO("a,b\n1,2\n2,3\n3,1\n"), kinds="ordinal")
         assert data.all_ordinal
         assert data.n_rows == 3
+
+
+class TestStreamedIngest:
+    """Chunked conversion keeps the per-cell path's values and messages."""
+
+    def _model(self):
+        return parse_model(
+            "latent a exogenous\nlatent b endogenous\n"
+            "indicators a: x1 x2\nindicators b: y1\npath a -> b\n"
+        )
+
+    @staticmethod
+    def _rows(n):
+        return [f"{i % 5 + 1},{i % 3 + 1},{i % 7 + 1}" for i in range(n)]
+
+    def test_multi_chunk_values(self, tmp_path):
+        n = 2 * model_module._CHUNK_ROWS + 17
+        path = tmp_path / "big.csv"
+        path.write_text("x1,x2,y1\n" + "\n".join(self._rows(n)) + "\n")
+        data = load_data(path, self._model())
+        i = np.arange(n)
+        expected = np.column_stack([i % 5 + 1, i % 3 + 1, i % 7 + 1]).astype(float)
+        assert np.array_equal(data.values, expected)
+
+    def test_bad_cell_in_second_chunk_names_row(self):
+        rows = self._rows(model_module._CHUNK_ROWS + 100)
+        bad = model_module._CHUNK_ROWS + 40  # 0-based data row in the second chunk
+        rows[bad] = "1,x,2"
+        # blank lines are not counted: row numbers count the header and non-blank rows
+        text = "x1,x2,y1\n\n" + "\n\n".join(rows[:10]) + "\n" + "\n".join(rows[10:]) + "\n"
+        with pytest.raises(DataError) as info:
+            load_data(io.StringIO(text), self._model())
+        assert str(info.value) == f"non-numeric value 'x' at row {bad + 2}, column 'x2'"
+
+    def test_short_row_in_second_chunk(self):
+        rows = self._rows(model_module._CHUNK_ROWS + 5)
+        rows[-2] = "1,2"
+        with pytest.raises(DataError) as info:
+            load_csv(io.StringIO("a,b,c\n" + "\n".join(rows)))
+        assert str(info.value) == f"row {len(rows)}: expected 3 cells, got 2"
+
+    def test_blank_quoted_and_padded_cells(self):
+        text = (
+            "\n x1 , x2,y1\n"
+            "\n"
+            '"1", 2 ,3\n'
+            "  ,  , \n"  # whitespace-only row: skipped like a blank line
+            '4,"5",  6\n'
+            "\n"
+            '7,"8" ,9.0\n'
+        )
+        data = load_data(io.StringIO(text), self._model())
+        assert np.array_equal(data.values, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        with pytest.raises(DataError, match="missing value at row 5, column 'y1'"):
+            load_data(io.StringIO(text + "1,2,\n"), self._model())
+
+    def test_missing_column_before_bad_cell(self):
+        with pytest.raises(DataError, match="missing data column 'y1'"):
+            load_data(io.StringIO("x1,x2\n1,oops\n2,1\n3,3\n"), self._model())
+        with pytest.raises(DataError, match="unexpected data column 'zz'"):
+            load_data(io.StringIO("x1,x2,y1,zz\n1,2,3,\n"), self._model())
+
+    def test_header_only_or_empty(self):
+        for text in ("", "\n\n", "x1,x2,y1\n", "x1,x2,y1\n , , \n\n"):
+            with pytest.raises(DataError, match="header row and at least one data row"):
+                load_data(io.StringIO(text), self._model())

@@ -282,6 +282,76 @@ class TestPolychoricMatrix:
         assert -RHO_BOUND <= info.value.best <= RHO_BOUND
 
 
+class TestCountPass:
+    """Pair tables from one one-hot cross-product instead of per-pair crosstabs."""
+
+    @pytest.mark.parametrize("chunk_bytes", [1 << 23, 64])
+    def test_gram_tables_equal_crosstab(self, rng, monkeypatch, chunk_bytes):
+        # 64 bytes holds a few one-hot rows, so many chunks are summed
+        monkeypatch.setattr(polychoric, "_CHUNK_BYTES", chunk_bytes)
+        n = 400
+        original = np.column_stack([
+            rng.choice([1, 2, 5, 9], size=n),  # unused codes 3, 4, 6-8 collapse
+            rng.integers(1, 3, size=n),
+            rng.choice([2, 3, 4, 7, 8, 11], size=n),
+            rng.integers(1, 8, size=n),
+        ])
+        thresholds = [estimate_thresholds(col) for col in original.T]
+        codes = np.column_stack([ts.map_codes(col) for ts, col in zip(thresholds, original.T)])
+        pairs = np.array(list(itertools.combinations(range(codes.shape[1]), 2)))
+        tables, degenerate = polychoric._pair_tables(codes, thresholds, pairs, epsilon=0.0)
+        assert degenerate is None
+        for p, (h, k) in enumerate(pairs):
+            i_h, i_k = thresholds[h].category_count, thresholds[k].category_count
+            expected = crosstab(codes[:, h], codes[:, k], i_h, i_k)
+            assert np.array_equal(tables[p, :i_h, :i_k], expected)
+            assert not tables[p, i_h:].any() and not tables[p, :, i_k:].any()
+
+    def test_smoothing_touches_only_empty_table_cells(self):
+        codes = np.array([[1, 1, 2], [2, 2, 2], [1, 1, 1], [3, 2, 2]])
+        thresholds = [make_ts([-0.5, 0.5]), make_ts([0.0]), make_ts([0.0])]
+        pairs = np.array([[0, 1], [1, 2]])
+        tables, _ = polychoric._pair_tables(codes, thresholds, pairs, epsilon=0.5)
+        assert np.array_equal(tables[0], [[2.0, 0.5], [0.5, 1.0], [0.5, 1.0]])
+        # the 2 x 2 table is padded to 3 rows with zero counts, left unsmoothed
+        assert np.array_equal(tables[1], [[1.0, 1.0], [0.5, 2.0], [0.0, 0.0]])
+
+    def test_first_degenerate_pair_reported(self):
+        # column 1 never leaves category 1, though its thresholds allow two
+        codes = np.array([[1, 1, 1], [2, 1, 2], [1, 1, 2], [2, 1, 1]])
+        thresholds = [make_ts([0.0])] * 3
+        pairs = np.array([[0, 2], [0, 1], [1, 2]])
+        _, degenerate = polychoric._pair_tables(codes, thresholds, pairs, epsilon=0.5)
+        assert degenerate == 1
+
+    def test_negative_epsilon_names_pair(self, rng):
+        data = DataMatrix(
+            rng.integers(1, 4, size=(30, 3)).astype(float), ("a", "b", "c"), ("ordinal",) * 3
+        )
+        with pytest.raises(DataError, match="pair \\('a', 'b'\\): smoothing epsilon"):
+            polychoric_matrix(data, epsilon=-0.1)
+
+    def test_crosstab_counts(self):
+        table = crosstab(np.array([1, 2, 2, 3]), np.array([2, 1, 1, 2]), 3, 2)
+        assert np.array_equal(table, [[0, 1], [2, 0], [0, 1]])
+        with pytest.raises(DataError, match="1..2"):
+            crosstab(np.array([1, 2]), np.array([1, 3]), 2, 2)
+
+    @pytest.mark.parametrize("code", [2, 0, -3, 6, 4])
+    def test_map_codes_rejects_unseen(self, code):
+        ts = ThresholdSet(cuts=np.array([-0.5, 0.5]), categories=(1, 3, 5))
+        with pytest.raises(DataError) as info:
+            ts.map_codes(np.array([5, 1, code, 3, 9]))
+        assert str(info.value) == f"category code {code} was not seen at threshold estimation"
+
+    def test_map_codes_keeps_order(self, rng):
+        ts = ThresholdSet(cuts=np.array([-1.0, 0.0, 1.0]), categories=(2, 4, 7, 8))
+        original = rng.choice([2, 4, 7, 8], size=50)
+        expected = [ts.categories.index(c) + 1 for c in original]
+        assert ts.map_codes(original).tolist() == expected
+        assert ts.map_codes(original.astype(float)).tolist() == expected
+
+
 class TestBrentOracleAgreement:
     """The batched solver against the pair-by-pair scan plus Brent it replaced."""
 
