@@ -2,9 +2,10 @@
 
 Subcommands: ``fit``, ``polychoric``, ``predict-scores``, ``simulate``.
 Every run writes its tables as CSV (full double precision, fixed column
-order) plus a ``manifest.json`` recording the command, seed, tool version,
-and SHA-256 checksums of all inputs and outputs, so a run can be audited
-and reproduced bit for bit.
+order) plus a ``manifest.json`` recording the command, its arguments
+(with ``--seed`` for ``fit`` and ``simulate``, the commands that draw
+random numbers), tool version, and SHA-256 checksums of all inputs and
+outputs, so a run can be audited and reproduced bit for bit.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical
 non-convergence, 4 internal assertion failure.
@@ -274,9 +275,12 @@ def cmd_predict_scores(args) -> int:
         raw = raw_scale_scores(data, pls_fit.weights.raw)
         rows = []
         for rule in ("mode", "median", "mean"):
-            pred = predict_categories(
-                data, lt, thresholds, fit.weights.standardized, model, rule=rule
-            )
+            if rule == args.rule:
+                pred = predicted
+            else:
+                pred = predict_categories(
+                    data, lt, thresholds, fit.weights.standardized, model, rule=rule
+                )
             for j, latent in enumerate(model.latent_names):
                 i_max = lt.category_counts[j]
                 rounded = np.clip(np.floor(raw[:, j] + 0.5), 1, i_max).astype(int)
@@ -346,7 +350,6 @@ def cmd_simulate(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (recorded in manifest)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--bootstrap", type=int, default=0, metavar="N",
                        help="bootstrap replicates for inner-coefficient s.e. (extension)")
     p_fit.add_argument("--kinds", choices=["infer", "ordinal", "interval"], default="infer")
+    p_fit.add_argument("--seed", type=int, default=0,
+                       help="bootstrap random seed (recorded in manifest)")
     _add_common(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -401,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=250, help="observations per replication")
     p_sim.add_argument("--epsilon", type=float, default=0.0,
                        help="zero-cell substitution (0 = none, matching the bias tables)")
+    p_sim.add_argument("--seed", type=int, default=0, help="random seed (recorded in manifest)")
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
     return parser

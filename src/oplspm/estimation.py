@@ -10,10 +10,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError, OplsError
+from .errors import DataError, EstimationError, OplsError
 from .model import DataMatrix, PathModel
-from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState, matrix_pls_fit
-from .polychoric import CorrelationMatrix, pearson_matrix, polychoric_matrix
+from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState, _fit_stack, matrix_pls_fit
+# pearson_matrix and polychoric_matrix are no longer called here, but stay
+# importable from this module: bench/selftest.py patches them here.
+from .polychoric import (  # noqa: F401
+    CorrelationMatrix,
+    _ordinal_codes,
+    _positive_definite,
+    _replicate_polychoric,
+    _weighted_correlations,
+    pearson_matrix,
+    polychoric_matrix,
+)
 
 __all__ = [
     "InnerEquation",
@@ -87,6 +97,12 @@ class FitResult:
         return float(self.path_coefficients([(target, covariate)])[0])
 
 
+def _structural_equations(model: PathModel):
+    """(target, covariate indices) of each endogenous latent, in ``FitResult.inner`` order."""
+    t = model.inner_adjacency
+    return [(j, np.flatnonzero(t[j])) for j in range(model.exogenous_count, model.n_latents)]
+
+
 def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation]:
     """Solve every structural equation from the latent correlation matrix.
 
@@ -96,9 +112,7 @@ def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation
     """
     p_yy = np.asarray(p_yy, dtype=float)
     equations = []
-    t = model.inner_adjacency
-    for j in range(model.exogenous_count, model.n_latents):
-        covariate_idx = np.flatnonzero(t[j])
+    for j, covariate_idx in _structural_equations(model):
         sub = p_yy[np.ix_(covariate_idx, covariate_idx)]
         rhs = p_yy[covariate_idx, j]
         try:
@@ -212,11 +226,90 @@ class BootstrapResult:
     """
 
     names: list[tuple[str, str]]  # (target, covariate)
-    estimates: np.ndarray
     standard_errors: np.ndarray
     p_values: np.ndarray
     n_effective: int
     n_failed: int
+
+
+# Replicates fitted together as one stack. It bounds a block's working
+# memory (counts, moments, stacks); the results do not depend on it.
+_BOOT_BLOCK = 32
+
+
+def _pearson_replicates(data: DataMatrix):
+    """Pearson matrices of blocks of replicates, as a function of their row counts.
+
+    The function maps B x N row counts to the correlation matrices of the
+    replicates that have one, stacked in replicate order: a replicate in
+    which some column is constant has none. Constancy is tested exactly,
+    on each column's dense value ranks split into two base-2**13 digits:
+    for fewer than 2**26 rows the count-weighted sum of squared digit
+    deviations from a drawn row is an integer below 2**53, so float64
+    computes it exactly, and it is zero only for a constant column.
+    """
+    values = data.values
+    n, k = values.shape
+    ranks = np.column_stack([np.unique(col, return_inverse=True)[1] for col in values.T])
+    digits = np.hstack([ranks >> 13, ranks & 0x1FFF]).astype(float)
+    squares = digits * digits
+
+    def correlations(counts):
+        ref = digits[np.argmax(counts > 0, axis=1)]
+        spread = counts @ squares - 2.0 * ref * (counts @ digits) + n * ref * ref
+        varies = np.all(spread[:, :k] + spread[:, k:] > 0.0, axis=1)
+        return _weighted_correlations(values, counts[varies])
+
+    return correlations
+
+
+def _polychoric_replicates(data: DataMatrix, epsilon: float):
+    """Polychoric matrices of blocks of replicates, as a function of their row counts.
+
+    As ``_pearson_replicates``, but each replicate solves its own pairs
+    from its count-weighted tables; a replicate whose estimation raises an
+    ``OplsError`` has no matrix.
+    """
+    thresholds, codes = _ordinal_codes(data)
+    k = data.n_cols
+
+    def correlations(counts):
+        sigma = []
+        for row_counts in counts:
+            try:
+                sigma.append(
+                    _replicate_polychoric(codes, thresholds, data.columns, row_counts, epsilon)
+                )
+            except OplsError:
+                continue
+        return np.array(sigma).reshape(-1, k, k)
+
+    return correlations
+
+
+def _stacked_paths(p_yy, equations):
+    """Path coefficients (B x paths) of a stack of latent correlation matrices.
+
+    Each equation is one stacked solve. A singular system fails its member
+    alone: the stack is then solved member by member. Returns the
+    coefficients and a mask of the members whose systems all solved.
+    """
+    solved = np.ones(p_yy.shape[0], dtype=bool)
+    columns = []
+    for j, cov in equations:
+        sub = p_yy[:, cov[:, None], cov]
+        rhs = p_yy[:, cov, j][..., None]
+        try:
+            beta = np.linalg.solve(sub, rhs)
+        except np.linalg.LinAlgError:
+            beta = np.zeros(rhs.shape)
+            for m in range(p_yy.shape[0]):
+                try:
+                    beta[m] = np.linalg.solve(sub[m : m + 1], rhs[m : m + 1])[0]
+                except np.linalg.LinAlgError:
+                    solved[m] = False
+        columns.append(beta[..., 0])
+    return np.concatenate(columns, axis=1), solved
 
 
 def bootstrap_inner(
@@ -231,44 +324,51 @@ def bootstrap_inner(
 ) -> BootstrapResult:
     """Bootstrap standard errors and p-values for the inner coefficients.
 
-    With ``mode="opls"`` every replicate re-estimates the polychoric
-    matrix, which is accurate but slow; budget accordingly.
+    Each replicate is the vector of counts of ``n_rows`` rows drawn with
+    replacement; no resampled data are built. Replicates go in blocks of
+    ``_BOOT_BLOCK``: the block's correlation matrices come from
+    count-weighted moments (``mode="pls"``) or count-weighted pair tables
+    (``mode="opls"``, which still solves every pair of every replicate and
+    is slow; budget accordingly), then one stacked PLS fit and one stacked
+    solve per structural equation. A replicate fails alone, and is counted
+    in ``n_failed``, when a column is constant in it, its matrix is not
+    positive definite, its PLS update is singular or does not converge,
+    an inner system is singular, or its polychoric estimation raises.
     """
     if mode not in ("pls", "opls"):
         raise EstimationError(f"unknown mode '{mode}'")
-
-    def fit_once(d):
-        if mode == "pls":
-            sigma = pearson_matrix(d)
-        else:
-            sigma, _ = polychoric_matrix(d, epsilon=epsilon)
-        return fit_correlation_model(sigma, model, mode=mode, tol=tol, max_iter=max_iter)
-
-    point = fit_once(data)
-    names = [(eq.target, cov) for eq in point.inner for cov in eq.covariates]
-    estimates = point.path_coefficients(names)
+    if data.n_cols != model.n_indicators:
+        raise DataError(f"data has {data.n_cols} columns, model expects {model.n_indicators}")
+    equations = _structural_equations(model)
+    names = [(model.latent_names[j], model.latent_names[c]) for j, cov in equations for c in cov]
+    correlations = (
+        _pearson_replicates(data) if mode == "pls" else _polychoric_replicates(data, epsilon)
+    )
 
     rng = np.random.default_rng(seed)
-    draws = []
+    n = data.n_rows
+    draws = [np.empty((0, len(names)))]
     failed = 0
-    for _ in range(n_boot):
-        idx = rng.integers(0, data.n_rows, size=data.n_rows)
-        resampled = DataMatrix(
-            values=data.values[idx], columns=data.columns, kinds=data.kinds
+    for start in range(0, n_boot, _BOOT_BLOCK):
+        size = min(_BOOT_BLOCK, n_boot - start)
+        counts = np.array(
+            [np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(size)],
+            dtype=float,
         )
-        try:
-            draws.append(fit_once(resampled).path_coefficients(names))
-        except OplsError:
-            failed += 1
-    if not draws:
+        sigma = correlations(counts)
+        sigma = sigma[_positive_definite(sigma)]
+        fit = _fit_stack(sigma, model, tol=tol, max_iter=max_iter)
+        coefficients, solved = _stacked_paths(fit.latent_correlations[fit.converged], equations)
+        draws.append(coefficients[solved])
+        failed += size - int(solved.sum())
+    b = np.concatenate(draws)
+    if not b.shape[0]:
         raise EstimationError("all bootstrap replicates failed")
-    b = np.vstack(draws)
     below = (b <= 0.0).mean(axis=0)
     above = (b >= 0.0).mean(axis=0)
     p = np.clip(2.0 * np.minimum(below, above), 0.0, 1.0)
     return BootstrapResult(
         names=names,
-        estimates=estimates,
         standard_errors=b.std(axis=0, ddof=1),
         p_values=p,
         n_effective=b.shape[0],

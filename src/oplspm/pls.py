@@ -10,7 +10,9 @@ the indicator correlation matrix, so it applies unchanged when that matrix
 is polychoric and no observation-level scores exist. On the Pearson
 correlation matrix of an interval dataset the two engines produce the same
 weights; indicators are standardized (unit sample variance) in the
-score-based engine to match.
+score-based engine to match. Its iteration runs over a stack of matrices
+(``_fit_stack``), so bootstrap replicates are fitted together; a single
+fit is the stack of one.
 
 Within one pass the composites are built from the weights rescaled to sum
 to one per block (the outer-approximation normalization), while the
@@ -93,29 +95,27 @@ def initial_weights(model: PathModel) -> np.ndarray:
     return chi / chi.sum(axis=0)
 
 
-def _matrix_step(sigma, t_sym, chi, weights, model):
+def _matrix_step(sigma, t_sym, chi, weights):
     """One weight update from the current raw weights.
 
-    Returns the updated raw weights together with the intermediate
-    quantities, so invariants can be checked iteration by iteration.
+    ``sigma`` and ``weights`` may carry leading stack axes (B x K x K and
+    B x K x L); each member is updated on its own. Returns the updated raw
+    weights together with the intermediate quantities, so invariants can
+    be checked iteration by iteration. A member whose weight-update column
+    sum ``colsum`` is zero gets non-finite weights; the caller rejects it.
     """
-    v = weights / weights.sum(axis=0)
-    scale = np.sqrt(np.diag(v.T @ sigma @ v))
-    sw = v / scale
-    p_yy = sw.T @ sigma @ sw
+    v = weights / weights.sum(axis=-2, keepdims=True)
+    scale = np.sqrt(np.diagonal(v.swapaxes(-1, -2) @ sigma @ v, axis1=-2, axis2=-1))
+    sw = v / scale[..., None, :]
+    p_yy = sw.swapaxes(-1, -2) @ sigma @ sw
     upsilon = t_sym * _sign0(p_yy)
-    sigma_xz = sigma @ sw @ upsilon
-    c = chi * sigma_xz
-    colsum = c.sum(axis=0)
-    if np.any(colsum == 0.0):
-        j = int(np.flatnonzero(colsum == 0.0)[0])
-        raise ConvergenceError(
-            f"singular block: zero weight-update column sum for latent "
-            f"'{model.latent_names[j]}'"
-        )
     sigma_xy = sigma @ sw
-    orientation = _sign0(np.where(chi == 1.0, _sign0(sigma_xy), 0.0).sum(axis=0))
-    new_weights = (c / colsum) * orientation
+    sigma_xz = sigma_xy @ upsilon
+    c = chi * sigma_xz
+    colsum = c.sum(axis=-2)
+    orientation = _sign0(np.where(chi == 1.0, _sign0(sigma_xy), 0.0).sum(axis=-2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        new_weights = (c / colsum[..., None, :]) * orientation[..., None, :]
     internals = {
         "standardizing_weights": sw,
         "latent_correlations": p_yy,
@@ -123,6 +123,7 @@ def _matrix_step(sigma, t_sym, chi, weights, model):
         "sigma_xz": sigma_xz,
         "sigma_xy": sigma_xy,
         "c": c,
+        "colsum": colsum,
         "orientation": orientation,
     }
     return new_weights, internals
@@ -143,6 +144,73 @@ def _as_sigma_values(sigma_xx, model) -> np.ndarray:
     return values
 
 
+@dataclass
+class _StackFit:
+    """Matrix PLS fits of a stack of B correlation matrices.
+
+    ``deltas[i, b]`` is member b's weight change at iteration i + 1, NaN
+    once the member has stopped. ``singular[b]`` is the latent whose
+    weight-update column sum was zero, or -1; such a member stops there
+    and is not converged. Weights of members that did not converge are
+    their last iterate.
+    """
+
+    raw: np.ndarray  # B x K x L
+    standardized: np.ndarray  # B x K x L
+    latent_correlations: np.ndarray  # B x L x L
+    deltas: np.ndarray
+    converged: np.ndarray
+    singular: np.ndarray
+
+
+def _fit_stack(
+    sigma, model: PathModel, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> _StackFit:
+    """Iterate the correlation-matrix PLS algorithm on a B x K x K stack.
+
+    Every member starts from ``initial_weights`` and iterates until its
+    own weight change is below ``tol``, its update is singular, or
+    ``max_iter`` passes; only members still iterating are updated. A
+    member's arithmetic does not depend on the rest of the stack.
+    """
+    chi = model.weight_pattern()
+    t = model.inner_adjacency
+    t_sym = t + t.T
+    n = sigma.shape[0]
+    weights = np.repeat(initial_weights(model)[None], n, axis=0)
+    deltas = np.full((max_iter, n), np.nan)
+    converged = np.zeros(n, dtype=bool)
+    singular = np.full(n, -1)
+    active = np.arange(n)
+    iterations = 0
+    while active.size and iterations < max_iter:
+        new_weights, internals = _matrix_step(sigma[active], t_sym, chi, weights[active])
+        zero = internals["colsum"] == 0.0
+        del internals  # else the step's intermediates stay alive through the next step
+        bad = zero.any(axis=-1)
+        singular[active[bad]] = np.argmax(zero[bad], axis=-1)
+        change = new_weights - weights[active]
+        delta = np.sqrt(np.sum(change * change, axis=(-2, -1)))
+        good = active[~bad]
+        deltas[iterations, good] = delta[~bad]
+        weights[good] = new_weights[~bad]
+        done = ~bad & (delta < tol)
+        converged[active[done]] = True
+        active = active[~bad & ~done]
+        iterations += 1
+    scale = np.sqrt(np.diagonal(weights.swapaxes(-1, -2) @ sigma @ weights, axis1=-2, axis2=-1))
+    sw = weights / scale[..., None, :]
+    p_yy = sw.swapaxes(-1, -2) @ sigma @ sw
+    return _StackFit(
+        raw=weights,
+        standardized=sw,
+        latent_correlations=p_yy,
+        deltas=deltas[:iterations],
+        converged=converged,
+        singular=singular,
+    )
+
+
 def matrix_pls_fit(
     sigma_xx,
     model: PathModel,
@@ -150,6 +218,8 @@ def matrix_pls_fit(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> MatrixPLSResult:
     """Iterate the correlation-matrix form of the PLS algorithm.
+
+    This is ``_fit_stack`` on a stack of one matrix.
 
     Parameters
     ----------
@@ -162,32 +232,34 @@ def matrix_pls_fit(
         Iteration cap; exceeding it raises ConvergenceError with the trace.
     """
     sigma = _as_sigma_values(sigma_xx, model)
-    chi = model.weight_pattern()
-    t = model.inner_adjacency
-    t_sym = t + t.T
-    trace = FitTrace(tol=tol, max_iter=max_iter)
-    weights = initial_weights(model)
-    for _ in range(max_iter):
-        new_weights, _ = _matrix_step(sigma, t_sym, chi, weights, model)
-        delta = float(np.linalg.norm(new_weights - weights))
-        trace.deltas.append(delta)
-        weights = new_weights
-        if delta < tol:
-            trace.converged = True
-            break
+    stack = _fit_stack(sigma[None], model, tol=tol, max_iter=max_iter)
+    if stack.singular[0] >= 0:
+        raise ConvergenceError(
+            f"singular block: zero weight-update column sum for latent "
+            f"'{model.latent_names[stack.singular[0]]}'"
+        )
+    deltas = stack.deltas[:, 0]
+    trace = FitTrace(
+        deltas=deltas[~np.isnan(deltas)].tolist(),
+        tol=tol,
+        max_iter=max_iter,
+        converged=bool(stack.converged[0]),
+    )
     if not trace.converged:
         raise ConvergenceError(
             f"matrix PLS did not converge in {max_iter} iterations "
             f"(last delta {trace.deltas[-1]:.3e})",
             trace=trace,
         )
-    scale = np.sqrt(np.diag(weights.T @ sigma @ weights))
-    sw = weights / scale
-    p_yy = sw.T @ sigma @ sw
     state = WeightState(
-        raw=weights, standardized=sw, iterations=trace.iterations, delta=trace.deltas[-1]
+        raw=stack.raw[0],
+        standardized=stack.standardized[0],
+        iterations=trace.iterations,
+        delta=trace.deltas[-1],
     )
-    return MatrixPLSResult(weights=state, latent_correlations=p_yy, trace=trace)
+    return MatrixPLSResult(
+        weights=state, latent_correlations=stack.latent_correlations[0], trace=trace
+    )
 
 
 def _standardize_columns(matrix, what):

@@ -139,7 +139,7 @@ class CorrelationMatrix:
             raise DataError("correlation matrix must have a unit diagonal")
         values = 0.5 * (values + values.T)
         np.fill_diagonal(values, 1.0)
-        if np.linalg.eigvalsh(values).min() > _PD_TOL:
+        if _positive_definite(values):
             return cls(values=values, kind=kind, pd_status="positive-definite")
         if repair:
             return nearest_pd_repair(cls(values=values, kind=kind, pd_status="failed"))
@@ -182,14 +182,19 @@ def estimate_thresholds(column, max_categories=None) -> ThresholdSet:
     if max_categories is not None and np.any(codes > int(max_categories)):
         raise DataError(f"ordinal code exceeds declared maximum {max_categories}")
     observed, counts = np.unique(codes, return_counts=True)
-    if observed.size < 2:
+    return _thresholds_from_counts(counts, observed)
+
+
+def _thresholds_from_counts(counts, categories) -> ThresholdSet:
+    """Thresholds from the positive counts of the given categories, in code order."""
+    if len(categories) < 2:
         raise DataError("single observed category: no interior threshold estimable")
-    cumulative = np.cumsum(counts) / codes.size
+    cumulative = np.cumsum(counts) / counts.sum()
     cuts = std_normal_quantile(cumulative[:-1])
     cuts = np.clip(np.atleast_1d(cuts), -THRESHOLD_BOUND, THRESHOLD_BOUND)
     if np.any(np.diff(cuts) <= 0):
         raise DataError("thresholds not strictly increasing after clipping at +/-4")
-    return ThresholdSet(cuts=cuts, categories=tuple(int(c) for c in observed))
+    return ThresholdSet(cuts=cuts, categories=tuple(int(c) for c in categories))
 
 
 def cell_probabilities(thresholds_h: ThresholdSet, thresholds_k: ThresholdSet, rho: float) -> np.ndarray:
@@ -360,15 +365,17 @@ def crosstab(codes_h: np.ndarray, codes_k: np.ndarray, n_h: int, n_k: int) -> np
     return np.bincount(cells, minlength=n_h * n_k).reshape(n_h, n_k).astype(float)
 
 
-def _code_gram(codes, offsets, width) -> np.ndarray:
-    """Cross-product O^T O of the one-hot code matrix O, from one pass over the rows.
+def _code_gram(codes, offsets, width, weights=None) -> np.ndarray:
+    """Cross-product O^T diag(w) O of the one-hot code matrix O, from one pass over the rows.
 
     ``codes`` is N x K with internal codes 1..I_k in column k, and column
     k's indicator columns start at ``offsets[k]`` of O's ``width``. Block
     (h, k) of the result is the count table of columns h and k, and the
-    diagonal blocks hold the marginal counts. O is built a row chunk at a
-    time in float32, exact for 0/1 entries and for chunk sums below 2**24,
-    and the chunk products are summed in float64.
+    diagonal blocks hold the marginal counts. Row i counts ``weights[i]``
+    times (default once), as in a bootstrap replicate's row counts. O is
+    built a row chunk at a time in float32, exact for 0/1 entries and for
+    chunk sums below 2**24; weighted rows and the sum over chunks are
+    float64, exact for integer counts.
     """
     n = codes.shape[0]
     step = max(1, _CHUNK_BYTES // (4 * width))
@@ -377,27 +384,30 @@ def _code_gram(codes, offsets, width) -> np.ndarray:
         cols = codes[start : start + step] - 1 + offsets
         onehot = np.zeros((cols.shape[0], width), dtype=np.float32)
         np.put_along_axis(onehot, cols, 1.0, axis=1)
-        gram += onehot.T @ onehot
+        weighted = onehot if weights is None else onehot * weights[start : start + step, None]
+        gram += onehot.T @ weighted
     return gram
 
 
-def _pair_tables(codes, thresholds, pairs, epsilon):
+def _pair_tables(gram, index, pairs, epsilon):
     """Smoothed count tables of all pairs, stacked at the largest row and column counts.
 
-    Every table is a block of the one-hot cross-product; its shape comes
-    from the pair's threshold sets. Padded cells hold zero counts. Returns
-    the stacked tables and the index of the first degenerate pair (all
-    mass in one row or column), or None.
+    ``index[k]`` holds the cross-product rows of column k's categories, in
+    category order, and pair (h, k)'s table is the block of ``gram`` at
+    rows ``index[h]`` and columns ``index[k]``. Padded cells hold zero
+    counts. Returns the stacked tables and the index of the first
+    degenerate pair (all mass in one row or column), or None.
     """
-    sizes = np.array([ts.category_count for ts in thresholds])
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    gram = _code_gram(codes, offsets, int(sizes.sum()))
+    sizes = np.array([ix.size for ix in index])
+    padded = np.zeros((sizes.size, sizes.max()), dtype=int)
+    for k, ix in enumerate(index):
+        padded[k, : ix.size] = ix
     h, k = pairs.T
     span_h, span_k = np.arange(sizes[h].max()), np.arange(sizes[k].max())
     real_h = span_h < sizes[h, None]
     real_k = span_k < sizes[k, None]
-    rows = np.where(real_h, offsets[h, None] + span_h, 0)
-    cols = np.where(real_k, offsets[k, None] + span_k, 0)
+    rows = padded[h, : span_h.size]
+    cols = padded[k, : span_k.size]
     real = real_h[:, :, None] & real_k[:, None, :]
     counts = np.where(real, gram[rows[:, :, None], cols[:, None, :]], 0.0)
     degenerate = (np.count_nonzero(counts.sum(axis=2), axis=1) < 2) | (
@@ -405,6 +415,61 @@ def _pair_tables(codes, thresholds, pairs, epsilon):
     )
     first = int(np.argmax(degenerate)) if degenerate.any() else None
     return np.where(real & (counts == 0), epsilon, counts), first
+
+
+def _pair_correlations(gram, thresholds, index, columns, epsilon) -> np.ndarray:
+    """Polychoric correlations of every column pair, from a one-hot cross-product.
+
+    ``thresholds[k]`` are column k's thresholds and ``index[k]`` the
+    cross-product rows of its categories (see ``_pair_tables``). Returns
+    the K x K values with a unit diagonal.
+    """
+
+    def label(p):
+        h, k = pairs[p]
+        return f"pair ('{columns[h]}', '{columns[k]}')"
+
+    pairs = np.array(list(itertools.combinations(range(len(columns)), 2)), dtype=int)
+    values = np.eye(len(columns))
+    if pairs.size:
+        if epsilon < 0:
+            raise DataError(f"{label(0)}: smoothing epsilon must be nonnegative")
+        tables, degenerate = _pair_tables(gram, index, pairs, epsilon)
+        del gram  # not needed by the solve, whose working arrays set the memory peak
+        if degenerate is not None:
+            raise DataError(f"{label(degenerate)}: degenerate table: all mass in one row or column")
+        rho, _, converged = _solve_pairs(
+            tables, [thresholds[h].cuts for h, _ in pairs], [thresholds[k].cuts for _, k in pairs]
+        )
+        if not converged.all():
+            p = int(np.argmin(converged))
+            raise ConvergenceError(f"{label(p)}: {_NOT_CONVERGED}", best=float(rho[p]))
+        h, k = pairs.T
+        values[h, k] = values[k, h] = rho
+    return values
+
+
+def _ordinal_codes(data: DataMatrix):
+    """Each column's thresholds and the N x K matrix of its internal codes 1..I_k."""
+    if not data.all_ordinal:
+        raise DataError("polychoric correlations require all columns to be ordinal")
+    thresholds = []
+    for j in range(data.n_cols):
+        try:
+            thresholds.append(estimate_thresholds(data.codes(j)))
+        except DataError as exc:
+            raise DataError(f"column '{data.columns[j]}': {exc}") from None
+    most = max((ts.category_count for ts in thresholds), default=1)
+    codes = np.empty(data.values.shape, dtype=np.min_scalar_type(most))
+    for j, ts in enumerate(thresholds):
+        codes[:, j] = ts.map_codes(data.codes(j))
+    return thresholds, codes
+
+
+def _category_offsets(thresholds):
+    """First cross-product row of each column's categories, and the total width."""
+    sizes = np.array([ts.category_count for ts in thresholds], dtype=int)
+    return np.concatenate([[0], np.cumsum(sizes)[:-1]]), int(sizes.sum())
 
 
 def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = False):
@@ -424,54 +489,101 @@ def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = 
     -------
     (CorrelationMatrix, list[ThresholdSet])
     """
-    if not data.all_ordinal:
-        raise DataError("polychoric correlations require all columns to be ordinal")
-    thresholds = []
-    for j in range(data.n_cols):
-        try:
-            thresholds.append(estimate_thresholds(data.codes(j)))
-        except DataError as exc:
-            raise DataError(f"column '{data.columns[j]}': {exc}") from None
-    most = max((ts.category_count for ts in thresholds), default=1)
-    collapsed = np.empty(data.values.shape, dtype=np.min_scalar_type(most))
-    for j, ts in enumerate(thresholds):
-        collapsed[:, j] = ts.map_codes(data.codes(j))
-
-    def label(p):
-        h, k = pairs[p]
-        return f"pair ('{data.columns[h]}', '{data.columns[k]}')"
-
-    pairs = np.array(list(itertools.combinations(range(data.n_cols), 2)), dtype=int)
-    values = np.eye(data.n_cols)
-    if pairs.size:
-        if epsilon < 0:
-            raise DataError(f"{label(0)}: smoothing epsilon must be nonnegative")
-        tables, degenerate = _pair_tables(collapsed, thresholds, pairs, epsilon)
-        if degenerate is not None:
-            raise DataError(f"{label(degenerate)}: degenerate table: all mass in one row or column")
-        rho, _, converged = _solve_pairs(
-            tables, [thresholds[h].cuts for h, _ in pairs], [thresholds[k].cuts for _, k in pairs]
-        )
-        if not converged.all():
-            p = int(np.argmin(converged))
-            raise ConvergenceError(f"{label(p)}: {_NOT_CONVERGED}", best=float(rho[p]))
-        h, k = pairs.T
-        values[h, k] = values[k, h] = rho
+    thresholds, codes = _ordinal_codes(data)
+    offsets, width = _category_offsets(thresholds)
+    index = [start + np.arange(ts.category_count) for start, ts in zip(offsets, thresholds)]
+    values = _pair_correlations(
+        _code_gram(codes, offsets, width), thresholds, index, data.columns, epsilon
+    )
     return CorrelationMatrix.build(values, kind="polychoric", repair=repair_pd), thresholds
 
 
+def _replicate_polychoric(codes, thresholds, columns, counts, epsilon) -> np.ndarray:
+    """Polychoric correlations of one count-weighted replicate of the rows.
+
+    ``thresholds`` and ``codes`` are ``_ordinal_codes`` of the full data;
+    row i enters the replicate ``counts[i]`` times. Tables are blocks of
+    the weighted one-hot cross-product. Each column's thresholds come from
+    its weighted marginal counts, with the categories the replicate never
+    draws collapsed away, so they equal ``estimate_thresholds`` of the
+    resampled column. Returns the K x K values; raises as
+    ``polychoric_matrix`` does.
+    """
+    offsets, width = _category_offsets(thresholds)
+    cells = codes - 1 + offsets
+    marginals = np.bincount(cells.ravel(), weights=np.repeat(counts, len(offsets)), minlength=width)
+    drawn_thresholds, index = [], []
+    for name, start, ts in zip(columns, offsets, thresholds):
+        block = marginals[start : start + ts.category_count]
+        drawn = np.flatnonzero(block)
+        try:
+            drawn_thresholds.append(
+                _thresholds_from_counts(block[drawn], np.array(ts.categories)[drawn])
+            )
+        except DataError as exc:
+            raise DataError(f"column '{name}': {exc}") from None
+        index.append(start + drawn)
+    # the cross-product is passed on unnamed, so the pair solve can free it
+    return _pair_correlations(
+        _code_gram(codes, offsets, width, counts), drawn_thresholds, index, columns, epsilon
+    )
+
+
+# Bytes of one weighted copy's share of a row chunk in the weighted moments.
+_MOMENT_BYTES = 1 << 14
+
+
+def _weighted_correlations(values, counts) -> np.ndarray:
+    """Pearson correlation matrices of count-weighted copies of the rows.
+
+    ``values`` is N x K and ``counts`` is B x N: row i enters copy b
+    ``counts[b, i]`` times. The data are centred once at their own mean
+    and given a column of ones, X1, so that (w * X1)^T X1 holds a copy's
+    cross-products, column sums and total. Rows are taken in chunks whose
+    size depends on K alone, so a copy's arithmetic does not depend on how
+    many copies share the call. A column constant within a copy gives
+    non-finite entries; callers rule that out first. Returns B x K x K.
+    """
+    n, k = values.shape
+    x = np.empty((n, k + 1))
+    np.subtract(values, values.mean(axis=0), out=x[:, :k])
+    x[:, k] = 1.0
+    step = max(1, _MOMENT_BYTES // (8 * (k + 1)))
+    moments = np.zeros((counts.shape[0], k + 1, k + 1))
+    for start in range(0, n, step):
+        rows = x[start : start + step]
+        moments += (counts[:, start : start + step, None] * rows).swapaxes(-1, -2) @ rows
+    sums, total = moments[:, k, :k], moments[:, k, k, None, None]
+    corr = moments[:, :k, :k] - sums[:, :, None] * sums[:, None, :] / total
+    sd = np.sqrt(np.diagonal(corr, axis1=-2, axis2=-1))
+    corr /= sd[:, :, None]
+    corr /= sd[:, None, :]
+    corr += corr.swapaxes(-1, -2)
+    corr *= 0.5
+    np.clip(corr, -1.0, 1.0, out=corr)
+    corr[:, np.arange(k), np.arange(k)] = 1.0
+    return corr
+
+
 def pearson_matrix(data) -> CorrelationMatrix:
-    """Pearson correlation matrix of a DataMatrix or raw N x K array."""
+    """Pearson correlation matrix of a DataMatrix or raw N x K array.
+
+    This is the one-copy, all-ones case of the count-weighted moments the
+    bootstrap uses.
+    """
     values = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
-    sd = values.std(axis=0, ddof=1)
-    if np.any(sd == 0):
-        j = int(np.argmin(sd))
+    constant = values.max(axis=0) == values.min(axis=0)
+    if constant.any():
+        j = int(np.argmax(constant))
         name = data.columns[j] if isinstance(data, DataMatrix) else str(j)
         raise DataError(f"zero-variance column '{name}'")
-    corr = np.corrcoef(values, rowvar=False)
-    if corr.ndim == 0:  # single column
-        corr = np.array([[1.0]])
-    return CorrelationMatrix.build(corr, kind="pearson")
+    corr = _weighted_correlations(values, np.ones((1, values.shape[0])))
+    return CorrelationMatrix.build(corr[0], kind="pearson")
+
+
+def _positive_definite(values) -> np.ndarray:
+    """The positive-definiteness test of ``CorrelationMatrix.build``, over leading stack axes."""
+    return np.linalg.eigvalsh(values).min(axis=-1) > _PD_TOL
 
 
 def nearest_pd_repair(matrix, min_eigenvalue: float = 1e-8, max_iter: int = 200) -> CorrelationMatrix:

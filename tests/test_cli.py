@@ -15,6 +15,7 @@ from oplspm import (
     polychoric_matrix,
     predict_categories,
 )
+from oplspm import cli
 from oplspm.cli import main
 
 MODEL_TEXT = (
@@ -199,6 +200,53 @@ class TestPredictScoresCommand:
         # raw single-indicator scores are the codes themselves
         for row in coherency:
             assert float(row["exact_pct"]) == 100.0
+
+
+    def test_coherency_reuses_rule_prediction(self, tmp_path, rng, monkeypatch):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng, npoints=6)
+        real = cli.predict_categories
+        rules = []
+
+        def counting(*args, **kwargs):
+            rules.append(kwargs["rule"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "predict_categories", counting)
+        common = ["predict-scores", "--model", str(model_path), "--data", str(data_path)]
+        outs = {name: tmp_path / name for name in ("median", "mode", "plain")}
+        assert main([*common, "--rule", "median", "--coherency", "--out", str(outs["median"])]) == 0
+        assert rules == ["median", "mode", "mean"]
+        assert main([*common, "--rule", "mode", "--coherency", "--out", str(outs["mode"])]) == 0
+        assert main([*common, "--rule", "median", "--out", str(outs["plain"])]) == 0
+        # each rule's row is the reused prediction in one run and a fresh one in the other
+        assert (outs["median"] / "coherency.csv").read_bytes() == (
+            outs["mode"] / "coherency.csv"
+        ).read_bytes()
+        for name in ("predicted_categories.csv", "latent_thresholds.csv"):
+            assert (outs["median"] / name).read_bytes() == (outs["plain"] / name).read_bytes()
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["polychoric", "predict-scores"])
+    def test_rejected_where_nothing_is_drawn(self, tmp_path, rng, capsys, command):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        model = ["--model", str(model_path)] if command == "predict-scores" else []
+        argv = [command, *model, "--data", str(data_path), "--seed", "1",
+                "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_recorded_where_random_numbers_are_drawn(self, tmp_path, rng):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        out = tmp_path / "fit"
+        assert main(["fit", "--model", str(model_path), "--data", str(data_path),
+                     "--bootstrap", "3", "--seed", "5", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["arguments"]["seed"] == 5
+        out = tmp_path / "poly"
+        assert main(["polychoric", "--data", str(data_path), "--out", str(out)]) == 0
+        assert "seed" not in json.loads((out / "manifest.json").read_text())["arguments"]
 
 
 class TestSimulateCommand:

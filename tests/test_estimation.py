@@ -3,20 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import factor_dataset
-from oplspm import estimation
+from conftest import factor_dataset, ordinal_dataset
+from oplspm import estimation, pls
 from oplspm import (
+    CorrelationMatrix,
+    DataError,
+    DataMatrix,
+    ConvergenceError,
     EstimationError,
+    OplsError,
     bootstrap_inner,
     build_model,
     cronbach_alpha_ordinal,
     dillon_goldstein_rho,
     fit_correlation_model,
     inner_coefficients,
+    matrix_pls_fit,
     outer_loadings,
     pearson_matrix,
+    polychoric_matrix,
     score_based_pls_fit,
 )
+from oplspm.polychoric import _ordinal_codes, _replicate_polychoric
 
 
 def chain_model():
@@ -216,26 +224,200 @@ class TestBootstrap:
         assert np.all((0 <= a.p_values) & (a.p_values <= 1))
 
     def test_only_package_errors_count_as_failed_replicates(self, rng, monkeypatch):
+        # pls replicates are fitted as stacks; the per-replicate call left is
+        # the opls replicate's polychoric estimation
         model = chain_model()
-        data = factor_dataset(model, rng, n=80)
-        real_fit = estimation.fit_correlation_model
+        data = ordinal_dataset(model, rng, n=80)
+        real_replicate = estimation._replicate_polychoric
 
         def failing_on(nth, error):
-            # call 1 is the point estimate, calls 2.. are the replicates
             calls = []
 
-            def fit(*args, **kwargs):
+            def replicate(*args, **kwargs):
                 calls.append(None)
                 if len(calls) == nth:
                     raise error
-                return real_fit(*args, **kwargs)
+                return real_replicate(*args, **kwargs)
 
-            return fit
+            return replicate
 
-        monkeypatch.setattr(estimation, "fit_correlation_model", failing_on(3, EstimationError("singular")))
-        result = bootstrap_inner(data, model, mode="pls", n_boot=5, seed=4)
+        failing = failing_on(2, EstimationError("singular"))
+        monkeypatch.setattr(estimation, "_replicate_polychoric", failing)
+        result = bootstrap_inner(data, model, mode="opls", n_boot=5, seed=4)
         assert (result.n_effective, result.n_failed) == (4, 1)
 
-        monkeypatch.setattr(estimation, "fit_correlation_model", failing_on(3, TypeError("bad argument")))
+        failing = failing_on(2, TypeError("bad argument"))
+        monkeypatch.setattr(estimation, "_replicate_polychoric", failing)
         with pytest.raises(TypeError, match="bad argument"):
-            bootstrap_inner(data, model, mode="pls", n_boot=5, seed=4)
+            bootstrap_inner(data, model, mode="opls", n_boot=5, seed=4)
+
+    def test_path_names_follow_fit_order(self, rng):
+        model = chain_model()
+        data = factor_dataset(model, rng, n=80)
+        fit = fit_correlation_model(pearson_matrix(data), model)
+        result = bootstrap_inner(data, model, mode="pls", n_boot=5, seed=4)
+        assert result.names == [(eq.target, cov) for eq in fit.inner for cov in eq.covariates]
+
+
+def loop_pearson(data):
+    """pearson_matrix as it was before it became the all-ones weighted moments."""
+    values = data.values
+    sd = values.std(axis=0, ddof=1)
+    if np.any(sd == 0):
+        raise DataError(f"zero-variance column '{data.columns[int(np.argmin(sd))]}'")
+    return CorrelationMatrix.build(np.corrcoef(values, rowvar=False), kind="pearson")
+
+
+def resampled(data, idx):
+    return DataMatrix(values=data.values[idx], columns=data.columns, kinds=data.kinds)
+
+
+def loop_bootstrap(data, model, mode, n_boot, seed, epsilon=0.5):
+    """The per-replicate loop bootstrap_inner ran before replicates became row counts.
+
+    Each replicate is a resampled DataMatrix, its own correlation matrix,
+    a full fit and its path coefficients; an OplsError fails it.
+    """
+
+    def fit_once(d):
+        if mode == "pls":
+            sigma = loop_pearson(d)
+        else:
+            sigma, _ = polychoric_matrix(d, epsilon=epsilon)
+        return fit_correlation_model(sigma, model, mode=mode)
+
+    point = fit_once(data)
+    names = [(eq.target, cov) for eq in point.inner for cov in eq.covariates]
+    rng = np.random.default_rng(seed)
+    draws, failed = [], 0
+    for _ in range(n_boot):
+        idx = rng.integers(0, data.n_rows, size=data.n_rows)
+        try:
+            draws.append(fit_once(resampled(data, idx)).path_coefficients(names))
+        except OplsError:
+            failed += 1
+    b = np.vstack(draws)
+    below = (b <= 0.0).mean(axis=0)
+    above = (b >= 0.0).mean(axis=0)
+    p = np.clip(2.0 * np.minimum(below, above), 0.0, 1.0)
+    return names, b.std(axis=0, ddof=1), p, len(draws), failed
+
+
+def rare_category_data(rng, model, n=60):
+    # category 5 of the first column appears in two rows only, so a replicate
+    # misses it with probability about (1 - 2/n)^n, about 0.13
+    data = ordinal_dataset(model, rng, n=n, npoints=4)
+    values = data.values.copy()
+    values[:, 0] = np.minimum(values[:, 0], 4.0)
+    values[:2, 0] = 5.0
+    return DataMatrix(values, data.columns, data.kinds)
+
+
+class TestCountWeightedBootstrap:
+    """Replicates as row counts against the resampled-DataMatrix loop they replace."""
+
+    def test_pls_matches_per_replicate_loop(self, rng):
+        model = chain_model()
+        data = factor_dataset(model, rng, n=120)
+        names, se, p, n_eff, n_failed = loop_bootstrap(data, model, "pls", 150, seed=7)
+        result = bootstrap_inner(data, model, mode="pls", n_boot=150, seed=7)
+        assert result.names == names
+        assert (result.n_effective, result.n_failed) == (n_eff, n_failed)
+        assert np.allclose(result.standard_errors, se, rtol=0.0, atol=1e-12)
+        assert np.allclose(result.p_values, p, rtol=0.0, atol=1e-12)
+
+    def test_opls_replicate_rho_bit_identical_with_undrawn_category(self, rng):
+        model = chain_model()
+        data = rare_category_data(rng, model)
+        thresholds, codes = _ordinal_codes(data)
+        draws = np.random.default_rng(11)
+        collapsed = 0
+        for _ in range(25):
+            idx = draws.integers(0, data.n_rows, size=data.n_rows)
+            counts = np.bincount(idx, minlength=data.n_rows).astype(float)
+            sigma, own = polychoric_matrix(resampled(data, idx))
+            values = _replicate_polychoric(codes, thresholds, data.columns, counts, 0.5)
+            assert np.array_equal(values, sigma.values)
+            collapsed += own[0].category_count < thresholds[0].category_count
+        assert collapsed > 0
+
+    def test_opls_matches_per_replicate_loop(self, rng):
+        model = chain_model()
+        data = rare_category_data(rng, model)
+        names, se, p, n_eff, n_failed = loop_bootstrap(data, model, "opls", 12, seed=5)
+        result = bootstrap_inner(data, model, mode="opls", n_boot=12, seed=5)
+        assert result.names == names
+        assert (result.n_effective, result.n_failed) == (n_eff, n_failed)
+        assert np.array_equal(result.standard_errors, se)
+        assert np.array_equal(result.p_values, p)
+
+    # 150 pls replicates span several default blocks
+    @pytest.mark.parametrize("mode, n_boot", [("pls", 150), ("opls", 6)])
+    def test_block_size_does_not_change_results(self, rng, monkeypatch, mode, n_boot):
+        model = chain_model()
+        data = rare_category_data(rng, model)
+        default = bootstrap_inner(data, model, mode=mode, n_boot=n_boot, seed=9)
+        monkeypatch.setattr(estimation, "_BOOT_BLOCK", 1)
+        single = bootstrap_inner(data, model, mode=mode, n_boot=n_boot, seed=9)
+        assert np.array_equal(single.standard_errors, default.standard_errors)
+        assert np.array_equal(single.p_values, default.p_values)
+        assert (single.n_effective, single.n_failed) == (default.n_effective, default.n_failed)
+
+    def test_constant_drawn_column_fails_alone(self, rng):
+        # the first indicator varies only in rows 0 and 1; a replicate that
+        # draws neither has a constant column and must fail by itself
+        model = chain_model()
+        data = factor_dataset(model, rng, n=40)
+        values = data.values.copy()
+        values[:, 0] = 1.0
+        values[:2, 0] = 2.0
+        data = DataMatrix(values, data.columns, data.kinds)
+        draws = np.random.default_rng(13)
+        flat = sum(
+            not np.any(draws.integers(0, 40, size=40) < 2) for _ in range(estimation._BOOT_BLOCK)
+        )
+        assert 0 < flat < estimation._BOOT_BLOCK
+        result = bootstrap_inner(data, model, mode="pls", n_boot=estimation._BOOT_BLOCK, seed=13)
+        assert result.n_failed == flat
+        names, se, p, n_eff, n_failed = loop_bootstrap(
+            data, model, "pls", estimation._BOOT_BLOCK, seed=13
+        )
+        assert (result.n_effective, result.n_failed) == (n_eff, n_failed)
+        assert np.allclose(result.standard_errors, se, rtol=0.0, atol=1e-12)
+
+    def test_singular_update_fails_its_member_alone(self):
+        model = build_model(
+            "two", ["a"], ["b"], {"a": ["x1", "x2"], "b": ["y1", "y2"]}, [("a", "b")]
+        )
+        linked = np.array(
+            [[1.0, 0.5, 0.3, 0.2], [0.5, 1.0, 0.4, 0.3], [0.3, 0.4, 1.0, 0.6], [0.2, 0.3, 0.6, 1.0]]
+        )
+        unlinked = linked.copy()
+        unlinked[:2, 2:] = unlinked[2:, :2] = 0.0
+        other = linked.copy()
+        other[:2, 2:] = other[2:, :2] = -0.25
+        fit = pls._fit_stack(np.stack([linked, unlinked, other]), model)
+        assert fit.singular.tolist() == [-1, 0, -1]
+        assert fit.converged.tolist() == [True, False, True]
+        for member, sigma in ((0, linked), (2, other)):
+            alone = matrix_pls_fit(sigma, model)
+            assert np.array_equal(fit.raw[member], alone.weights.raw)
+            assert np.array_equal(fit.latent_correlations[member], alone.latent_correlations)
+            # a member stops iterating at its first weight change below tol
+            deltas = np.array(alone.trace.deltas)
+            assert np.all(deltas[:-1] >= pls.DEFAULT_TOL) and deltas[-1] < pls.DEFAULT_TOL
+            stopped = alone.trace.iterations
+            assert fit.deltas[:stopped, member].tolist() == alone.trace.deltas
+            assert np.isnan(fit.deltas[stopped:, member]).all()
+        with pytest.raises(ConvergenceError, match="zero weight-update column sum for latent 'a'"):
+            matrix_pls_fit(unlinked, model)
+
+    def test_singular_inner_system_fails_its_member_alone(self):
+        good = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, 0.4], [0.5, 0.4, 1.0]])
+        bad = good.copy()
+        bad[0, 1] = bad[1, 0] = 1.0  # identical covariates
+        equations = [(2, np.array([0, 1]))]
+        coefficients, solved = estimation._stacked_paths(np.stack([good, bad, good]), equations)
+        assert solved.tolist() == [True, False, True]
+        assert np.allclose(coefficients[0], np.linalg.solve(good[:2, :2], good[:2, 2]), atol=1e-15)
+        assert np.array_equal(coefficients[0], coefficients[2])

@@ -80,7 +80,7 @@ class TestMatrixEngine:
         t_sym = model.inner_adjacency + model.inner_adjacency.T
         w = initial_weights(model)
         for _ in range(6):
-            w, internals = _matrix_step(sigma, t_sym, chi, w, model)
+            w, internals = _matrix_step(sigma, t_sym, chi, w)
             sw = internals["standardizing_weights"]
             assert np.allclose(np.diag(sw.T @ sigma @ sw), 1.0, atol=1e-10)
             # raw weight normalization: each column sums to +/-1
@@ -92,7 +92,7 @@ class TestMatrixEngine:
         sigma = pearson_matrix(data).values
         chi = model.weight_pattern()
         t_sym = model.inner_adjacency + model.inner_adjacency.T
-        _, internals = _matrix_step(sigma, t_sym, chi, initial_weights(model), model)
+        _, internals = _matrix_step(sigma, t_sym, chi, initial_weights(model))
         ups = internals["upsilon"]
         assert np.array_equal(ups != 0, t_sym != 0)
         assert set(np.unique(ups)).issubset({-1.0, 0.0, 1.0})
@@ -103,7 +103,7 @@ class TestMatrixEngine:
         sigma = pearson_matrix(data).values
         chi = model.weight_pattern()
         t_sym = model.inner_adjacency + model.inner_adjacency.T
-        _, internals = _matrix_step(sigma, t_sym, chi, initial_weights(model), model)
+        _, internals = _matrix_step(sigma, t_sym, chi, initial_weights(model))
         assert np.all(internals["c"][chi == 0.0] == 0.0)
 
     def test_weight_sparsity_pattern(self, rng):

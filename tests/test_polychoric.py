@@ -34,6 +34,14 @@ def make_ts(cuts, n_cat=None):
     return ThresholdSet(cuts=cuts, categories=tuple(range(1, n + 1)))
 
 
+def count_tables(codes, thresholds, pairs, epsilon):
+    """Pair tables of internal codes from the one-hot cross-product, as polychoric_matrix does."""
+    offsets, width = polychoric._category_offsets(thresholds)
+    gram = polychoric._code_gram(np.asarray(codes), offsets, width)
+    index = [start + np.arange(ts.category_count) for start, ts in zip(offsets, thresholds)]
+    return polychoric._pair_tables(gram, index, pairs, epsilon)
+
+
 def grid_search(table, ts_h, ts_k, n_grid=2001):
     """Independent dense-grid oracle for the pair maximizer."""
     smoothed = table.smoothed()
@@ -299,7 +307,7 @@ class TestCountPass:
         thresholds = [estimate_thresholds(col) for col in original.T]
         codes = np.column_stack([ts.map_codes(col) for ts, col in zip(thresholds, original.T)])
         pairs = np.array(list(itertools.combinations(range(codes.shape[1]), 2)))
-        tables, degenerate = polychoric._pair_tables(codes, thresholds, pairs, epsilon=0.0)
+        tables, degenerate = count_tables(codes, thresholds, pairs, epsilon=0.0)
         assert degenerate is None
         for p, (h, k) in enumerate(pairs):
             i_h, i_k = thresholds[h].category_count, thresholds[k].category_count
@@ -311,7 +319,7 @@ class TestCountPass:
         codes = np.array([[1, 1, 2], [2, 2, 2], [1, 1, 1], [3, 2, 2]])
         thresholds = [make_ts([-0.5, 0.5]), make_ts([0.0]), make_ts([0.0])]
         pairs = np.array([[0, 1], [1, 2]])
-        tables, _ = polychoric._pair_tables(codes, thresholds, pairs, epsilon=0.5)
+        tables, _ = count_tables(codes, thresholds, pairs, epsilon=0.5)
         assert np.array_equal(tables[0], [[2.0, 0.5], [0.5, 1.0], [0.5, 1.0]])
         # the 2 x 2 table is padded to 3 rows with zero counts, left unsmoothed
         assert np.array_equal(tables[1], [[1.0, 1.0], [0.5, 2.0], [0.0, 0.0]])
@@ -321,7 +329,7 @@ class TestCountPass:
         codes = np.array([[1, 1, 1], [2, 1, 2], [1, 1, 2], [2, 1, 1]])
         thresholds = [make_ts([0.0])] * 3
         pairs = np.array([[0, 2], [0, 1], [1, 2]])
-        _, degenerate = polychoric._pair_tables(codes, thresholds, pairs, epsilon=0.5)
+        _, degenerate = count_tables(codes, thresholds, pairs, epsilon=0.5)
         assert degenerate == 1
 
     def test_negative_epsilon_names_pair(self, rng):
