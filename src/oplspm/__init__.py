@@ -4,17 +4,12 @@ Two weight engines (classical score-based iteration and its
 correlation-matrix reformulation), polychoric correlation estimation,
 threshold-based latent category prediction, and a Monte Carlo harness
 comparing the Pearson and polychoric routes.
+
+The names below are the public API listed in the README; everything else
+is reached through its submodule.
 """
 
-from .distributions import (
-    bvn_cdf,
-    sample_standardized_beta,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-    truncated_normal_mean,
-    truncated_normal_median,
-)
+from .distributions import bvn_cdf, std_normal_cdf
 from .errors import (
     ConvergenceError,
     DataError,
@@ -22,66 +17,51 @@ from .errors import (
     ModelError,
     OplsError,
 )
-from .estimation import (
-    BlockReliability,
-    BootstrapResult,
-    FitResult,
-    InnerEquation,
-    bootstrap_inner,
-    cronbach_alpha_ordinal,
-    dillon_goldstein_rho,
-    fit_correlation_model,
-    inner_coefficients,
-    outer_loadings,
-)
-from .model import (
-    DataMatrix,
-    PathModel,
-    build_model,
-    load_csv,
-    load_data,
-    parse_model,
-    serialize_model,
-)
-from .pls import (
-    FitTrace,
-    MatrixPLSResult,
-    ScorePLSResult,
-    WeightState,
-    initial_weights,
-    matrix_pls_fit,
-    score_based_pls_fit,
-)
+from .estimation import cronbach_alpha_ordinal, dillon_goldstein_rho, fit_correlation_model
+from .model import DataMatrix, build_model, load_data, parse_model
+from .pls import matrix_pls_fit, score_based_pls_fit
 from .polychoric import (
     ContingencyTable,
-    CorrelationMatrix,
-    PairResult,
     ThresholdSet,
     cell_probabilities,
     crosstab,
     estimate_thresholds,
-    nearest_pd_repair,
     pearson_matrix,
     polychoric_matrix,
     polychoric_pair,
 )
-from .scores import (
-    LatentThresholds,
-    concordance_table,
-    direct_scores,
-    latent_thresholds,
-    predict_categories,
-    raw_scale_scores,
-)
-from .simulate import (
-    BiasReport,
-    RatioSummary,
-    SimulationConfig,
-    bias_ratio_summary,
-    generate_dataset,
-    rescale_to_points,
-    run_study,
-    simulation_model,
-)
+from .scores import latent_thresholds, predict_categories
+from .simulate import SimulationConfig, run_study
+
+__all__ = [
+    "ConvergenceError",
+    "DataError",
+    "EstimationError",
+    "ModelError",
+    "OplsError",
+    "DataMatrix",
+    "build_model",
+    "load_data",
+    "parse_model",
+    "ContingencyTable",
+    "ThresholdSet",
+    "cell_probabilities",
+    "crosstab",
+    "estimate_thresholds",
+    "pearson_matrix",
+    "polychoric_matrix",
+    "polychoric_pair",
+    "matrix_pls_fit",
+    "score_based_pls_fit",
+    "fit_correlation_model",
+    "cronbach_alpha_ordinal",
+    "dillon_goldstein_rho",
+    "latent_thresholds",
+    "predict_categories",
+    "SimulationConfig",
+    "run_study",
+    "bvn_cdf",
+    "std_normal_cdf",
+]
 
 __version__ = "0.1.0"

@@ -17,9 +17,9 @@ from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState, _fit_stac
 # importable from this module: bench/selftest.py patches them here.
 from .polychoric import (  # noqa: F401
     CorrelationMatrix,
+    _count_polychoric,
     _ordinal_codes,
     _positive_definite,
-    _replicate_polychoric,
     _weighted_correlations,
     pearson_matrix,
     polychoric_matrix,
@@ -103,33 +103,56 @@ def _structural_equations(model: PathModel):
     return [(j, np.flatnonzero(t[j])) for j in range(model.exogenous_count, model.n_latents)]
 
 
-def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation]:
-    """Solve every structural equation from the latent correlation matrix.
+def _structural_solve(p_yy, equations):
+    """Path coefficients and R^2 of every structural equation, over a B x L x L stack.
 
-    For each endogenous latent the covariate rows/columns are extracted
-    from ``p_yy`` and the normal equations solved; on standardized
-    variables this is exactly the OLS of the composite scores.
+    Each equation's normal equations are one stacked solve; on
+    standardized variables this is exactly the OLS of the composite
+    scores. A singular system fails its member alone: the stack is then
+    solved member by member. Returns, per equation, the B x covariates
+    coefficients and the B values of R^2, and per member the target
+    latent of its first singular equation, or -1.
     """
-    p_yy = np.asarray(p_yy, dtype=float)
-    equations = []
-    for j, covariate_idx in _structural_equations(model):
-        sub = p_yy[np.ix_(covariate_idx, covariate_idx)]
-        rhs = p_yy[covariate_idx, j]
+    n = p_yy.shape[0]
+    singular = np.full(n, -1)
+    solutions = []
+    for j, cov in equations:
+        sub = p_yy[:, cov[:, None], cov]
+        rhs = p_yy[:, cov, j][..., None]
         try:
             beta = np.linalg.solve(sub, rhs)
         except np.linalg.LinAlgError:
-            raise EstimationError(
-                f"singular inner system for equation '{model.latent_names[j]}'"
-            ) from None
-        equations.append(
-            InnerEquation(
-                target=model.latent_names[j],
-                covariates=tuple(model.latent_names[k] for k in covariate_idx),
-                coefficients=beta,
-                r_squared=float(beta @ rhs),
-            )
+            beta = np.zeros(rhs.shape)
+            for m in range(n):
+                try:
+                    beta[m] = np.linalg.solve(sub[m : m + 1], rhs[m : m + 1])[0]
+                except np.linalg.LinAlgError:
+                    if singular[m] < 0:
+                        singular[m] = j
+        solutions.append((beta[..., 0], (beta.swapaxes(-1, -2) @ rhs)[:, 0, 0]))
+    return solutions, singular
+
+
+def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation]:
+    """Solve every structural equation from the latent correlation matrix.
+
+    This is ``_structural_solve`` on a stack of one matrix.
+    """
+    equations = _structural_equations(model)
+    solutions, singular = _structural_solve(np.asarray(p_yy, dtype=float)[None], equations)
+    if singular[0] >= 0:
+        raise EstimationError(
+            f"singular inner system for equation '{model.latent_names[singular[0]]}'"
         )
-    return equations
+    return [
+        InnerEquation(
+            target=model.latent_names[j],
+            covariates=tuple(model.latent_names[k] for k in cov),
+            coefficients=beta[0],
+            r_squared=float(r_squared[0]),
+        )
+        for (j, cov), (beta, r_squared) in zip(equations, solutions)
+    ]
 
 
 def outer_loadings(sigma_xy: np.ndarray, model: PathModel) -> np.ndarray:
@@ -270,46 +293,20 @@ def _polychoric_replicates(data: DataMatrix, epsilon: float):
     from its count-weighted tables; a replicate whose estimation raises an
     ``OplsError`` has no matrix.
     """
-    thresholds, codes = _ordinal_codes(data)
+    categories, codes = _ordinal_codes(data)
     k = data.n_cols
 
     def correlations(counts):
         sigma = []
         for row_counts in counts:
             try:
-                sigma.append(
-                    _replicate_polychoric(codes, thresholds, data.columns, row_counts, epsilon)
-                )
+                values, _ = _count_polychoric(codes, categories, data.columns, epsilon, row_counts)
             except OplsError:
                 continue
+            sigma.append(values)
         return np.array(sigma).reshape(-1, k, k)
 
     return correlations
-
-
-def _stacked_paths(p_yy, equations):
-    """Path coefficients (B x paths) of a stack of latent correlation matrices.
-
-    Each equation is one stacked solve. A singular system fails its member
-    alone: the stack is then solved member by member. Returns the
-    coefficients and a mask of the members whose systems all solved.
-    """
-    solved = np.ones(p_yy.shape[0], dtype=bool)
-    columns = []
-    for j, cov in equations:
-        sub = p_yy[:, cov[:, None], cov]
-        rhs = p_yy[:, cov, j][..., None]
-        try:
-            beta = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError:
-            beta = np.zeros(rhs.shape)
-            for m in range(p_yy.shape[0]):
-                try:
-                    beta[m] = np.linalg.solve(sub[m : m + 1], rhs[m : m + 1])[0]
-                except np.linalg.LinAlgError:
-                    solved[m] = False
-        columns.append(beta[..., 0])
-    return np.concatenate(columns, axis=1), solved
 
 
 def bootstrap_inner(
@@ -358,8 +355,9 @@ def bootstrap_inner(
         sigma = correlations(counts)
         sigma = sigma[_positive_definite(sigma)]
         fit = _fit_stack(sigma, model, tol=tol, max_iter=max_iter)
-        coefficients, solved = _stacked_paths(fit.latent_correlations[fit.converged], equations)
-        draws.append(coefficients[solved])
+        solutions, singular = _structural_solve(fit.latent_correlations[fit.converged], equations)
+        solved = singular < 0
+        draws.append(np.concatenate([beta for beta, _ in solutions], axis=1)[solved])
         failed += size - int(solved.sum())
     b = np.concatenate(draws)
     if not b.shape[0]:

@@ -45,6 +45,8 @@ _PD_TOL = 1e-10
 _LOG_FLOOR = 1e-300
 _SCAN = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
 _MAX_ITER = 100
+# A pair's Newton refinement stops at the first step shorter than this.
+_XATOL = 1e-8
 _NOT_CONVERGED = f"polychoric optimizer failed: no convergence in {_MAX_ITER} iterations"
 # Bytes of one row chunk of the one-hot code matrix in the count pass.
 _CHUNK_BYTES = 1 << 23
@@ -159,7 +161,7 @@ class PairResult:
     loglik: float
 
 
-def estimate_thresholds(column, max_categories=None) -> ThresholdSet:
+def estimate_thresholds(column) -> ThresholdSet:
     """Estimate one variable's thresholds from its marginal frequencies.
 
     Each interior threshold is the standard-normal quantile of the
@@ -178,10 +180,7 @@ def estimate_thresholds(column, max_categories=None) -> ThresholdSet:
     codes = column.astype(float)
     if np.any(codes != np.round(codes)) or np.any(codes < 1):
         raise DataError("ordinal codes must be integers >= 1")
-    codes = codes.astype(int)
-    if max_categories is not None and np.any(codes > int(max_categories)):
-        raise DataError(f"ordinal code exceeds declared maximum {max_categories}")
-    observed, counts = np.unique(codes, return_counts=True)
+    observed, counts = np.unique(codes.astype(int), return_counts=True)
     return _thresholds_from_counts(counts, observed)
 
 
@@ -221,7 +220,7 @@ def _check_table(table: ContingencyTable, thresholds_h: ThresholdSet, thresholds
         raise DataError("degenerate table: all mass in one row or column")
 
 
-def _solve_pairs(weights, cuts_h, cuts_k, xatol=1e-8):
+def _solve_pairs(weights, cuts_h, cuts_k):
     """Two-step ML correlation of many pair tables at once.
 
     ``weights[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
@@ -312,7 +311,7 @@ def _solve_pairs(weights, cuts_h, cuts_k, xatol=1e-8):
             newton = x - score / curvature
         ok = (curvature < 0.0) & (newton >= a) & (newton <= b)
         step_to = np.where(ok, newton, 0.5 * (a + b))
-        moving = np.abs(step_to - x) >= xatol
+        moving = np.abs(step_to - x) >= _XATOL
         rho[idx[moving]] = step_to[moving]
         active[idx[~moving]] = False
 
@@ -324,16 +323,12 @@ def _solve_pairs(weights, cuts_h, cuts_k, xatol=1e-8):
 
 
 def polychoric_pair(
-    table: ContingencyTable,
-    thresholds_h: ThresholdSet,
-    thresholds_k: ThresholdSet,
-    *,
-    xatol: float = 1e-8,
+    table: ContingencyTable, thresholds_h: ThresholdSet, thresholds_k: ThresholdSet
 ) -> PairResult:
     """Maximize the table loglikelihood over the correlation alone.
 
     The search runs over [-0.999, 0.999]: a coarse scan locates the basin,
-    safeguarded Newton steps polish it until a step is below ``xatol``,
+    safeguarded Newton steps polish it until a step is below 1e-8,
     and the clip bounds themselves are kept as candidates so perfectly
     concordant tables return exactly the bound. This is the one-pair case
     of the solver ``polychoric_matrix`` runs on all pairs at once.
@@ -348,7 +343,7 @@ def polychoric_pair(
     """
     _check_table(table, thresholds_h, thresholds_k)
     rho, loglik, converged = _solve_pairs(
-        table.smoothed()[None], [thresholds_h.cuts], [thresholds_k.cuts], xatol=xatol
+        table.smoothed()[None], [thresholds_h.cuts], [thresholds_k.cuts]
     )
     if not converged[0]:
         raise ConvergenceError(_NOT_CONVERGED, best=float(rho[0]))
@@ -394,9 +389,8 @@ def _pair_tables(gram, index, pairs, epsilon):
 
     ``index[k]`` holds the cross-product rows of column k's categories, in
     category order, and pair (h, k)'s table is the block of ``gram`` at
-    rows ``index[h]`` and columns ``index[k]``. Padded cells hold zero
-    counts. Returns the stacked tables and the index of the first
-    degenerate pair (all mass in one row or column), or None.
+    rows ``index[h]`` and columns ``index[k]``. Empty cells hold
+    ``epsilon``; padded cells hold zero counts.
     """
     sizes = np.array([ix.size for ix in index])
     padded = np.zeros((sizes.size, sizes.max()), dtype=int)
@@ -410,34 +404,55 @@ def _pair_tables(gram, index, pairs, epsilon):
     cols = padded[k, : span_k.size]
     real = real_h[:, :, None] & real_k[:, None, :]
     counts = np.where(real, gram[rows[:, :, None], cols[:, None, :]], 0.0)
-    degenerate = (np.count_nonzero(counts.sum(axis=2), axis=1) < 2) | (
-        np.count_nonzero(counts.sum(axis=1), axis=1) < 2
-    )
-    first = int(np.argmax(degenerate)) if degenerate.any() else None
-    return np.where(real & (counts == 0), epsilon, counts), first
+    return np.where(real & (counts == 0), epsilon, counts)
 
 
-def _pair_correlations(gram, thresholds, index, columns, epsilon) -> np.ndarray:
-    """Polychoric correlations of every column pair, from a one-hot cross-product.
+def _count_polychoric(codes, categories, columns, epsilon, weights=None):
+    """Thresholds and pairwise polychoric correlations from one count pass.
 
-    ``thresholds[k]`` are column k's thresholds and ``index[k]`` the
-    cross-product rows of its categories (see ``_pair_tables``). Returns
-    the K x K values with a unit diagonal.
+    ``categories`` and ``codes`` are ``_ordinal_codes`` of the data; row i
+    counts ``weights[i]`` times (default once), as in a bootstrap
+    replicate's row counts. Every statistic of the two-step estimator is
+    read off the weighted one-hot cross-product: each column's marginal
+    counts from its diagonal, with the categories of zero count collapsed
+    away, give its thresholds, and its off-diagonal blocks give the pair
+    tables. Without weights no category has zero count.
+
+    Returns the K x K values, with a unit diagonal, and the thresholds.
+
+    Raises
+    ------
+    DataError
+        On a column with a single category, named with the column.
+    ConvergenceError
+        If a pair does not converge, named with the pair.
     """
 
     def label(p):
         h, k = pairs[p]
         return f"pair ('{columns[h]}', '{columns[k]}')"
 
+    sizes = [len(observed) for observed in categories]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    gram = _code_gram(codes, offsets, sum(sizes), weights)
+    marginals = np.diagonal(gram).copy()
+    thresholds, index = [], []
+    for name, start, observed in zip(columns, offsets, categories):
+        counts = marginals[start : start + len(observed)]
+        drawn = np.flatnonzero(counts)
+        try:
+            thresholds.append(_thresholds_from_counts(counts[drawn], observed[drawn]))
+        except DataError as exc:
+            raise DataError(f"column '{name}': {exc}") from None
+        index.append(start + drawn)
+
     pairs = np.array(list(itertools.combinations(range(len(columns)), 2)), dtype=int)
     values = np.eye(len(columns))
     if pairs.size:
         if epsilon < 0:
             raise DataError(f"{label(0)}: smoothing epsilon must be nonnegative")
-        tables, degenerate = _pair_tables(gram, index, pairs, epsilon)
+        tables = _pair_tables(gram, index, pairs, epsilon)
         del gram  # not needed by the solve, whose working arrays set the memory peak
-        if degenerate is not None:
-            raise DataError(f"{label(degenerate)}: degenerate table: all mass in one row or column")
         rho, _, converged = _solve_pairs(
             tables, [thresholds[h].cuts for h, _ in pairs], [thresholds[k].cuts for _, k in pairs]
         )
@@ -446,30 +461,19 @@ def _pair_correlations(gram, thresholds, index, columns, epsilon) -> np.ndarray:
             raise ConvergenceError(f"{label(p)}: {_NOT_CONVERGED}", best=float(rho[p]))
         h, k = pairs.T
         values[h, k] = values[k, h] = rho
-    return values
+    return values, thresholds
 
 
 def _ordinal_codes(data: DataMatrix):
-    """Each column's thresholds and the N x K matrix of its internal codes 1..I_k."""
+    """Each column's observed codes, ascending, and the N x K matrix of its compact codes 1..I_k."""
     if not data.all_ordinal:
         raise DataError("polychoric correlations require all columns to be ordinal")
-    thresholds = []
-    for j in range(data.n_cols):
-        try:
-            thresholds.append(estimate_thresholds(data.codes(j)))
-        except DataError as exc:
-            raise DataError(f"column '{data.columns[j]}': {exc}") from None
-    most = max((ts.category_count for ts in thresholds), default=1)
+    seen = [np.bincount(data.codes(j)) > 0 for j in range(data.n_cols)]
+    most = max((int(s.sum()) for s in seen), default=1)
     codes = np.empty(data.values.shape, dtype=np.min_scalar_type(most))
-    for j, ts in enumerate(thresholds):
-        codes[:, j] = ts.map_codes(data.codes(j))
-    return thresholds, codes
-
-
-def _category_offsets(thresholds):
-    """First cross-product row of each column's categories, and the total width."""
-    sizes = np.array([ts.category_count for ts in thresholds], dtype=int)
-    return np.concatenate([[0], np.cumsum(sizes)[:-1]]), int(sizes.sum())
+    for j, s in enumerate(seen):
+        codes[:, j] = np.cumsum(s)[data.codes(j)]
+    return [np.flatnonzero(s) for s in seen], codes
 
 
 def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = False):
@@ -489,44 +493,9 @@ def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = 
     -------
     (CorrelationMatrix, list[ThresholdSet])
     """
-    thresholds, codes = _ordinal_codes(data)
-    offsets, width = _category_offsets(thresholds)
-    index = [start + np.arange(ts.category_count) for start, ts in zip(offsets, thresholds)]
-    values = _pair_correlations(
-        _code_gram(codes, offsets, width), thresholds, index, data.columns, epsilon
-    )
+    categories, codes = _ordinal_codes(data)
+    values, thresholds = _count_polychoric(codes, categories, data.columns, epsilon)
     return CorrelationMatrix.build(values, kind="polychoric", repair=repair_pd), thresholds
-
-
-def _replicate_polychoric(codes, thresholds, columns, counts, epsilon) -> np.ndarray:
-    """Polychoric correlations of one count-weighted replicate of the rows.
-
-    ``thresholds`` and ``codes`` are ``_ordinal_codes`` of the full data;
-    row i enters the replicate ``counts[i]`` times. Tables are blocks of
-    the weighted one-hot cross-product. Each column's thresholds come from
-    its weighted marginal counts, with the categories the replicate never
-    draws collapsed away, so they equal ``estimate_thresholds`` of the
-    resampled column. Returns the K x K values; raises as
-    ``polychoric_matrix`` does.
-    """
-    offsets, width = _category_offsets(thresholds)
-    cells = codes - 1 + offsets
-    marginals = np.bincount(cells.ravel(), weights=np.repeat(counts, len(offsets)), minlength=width)
-    drawn_thresholds, index = [], []
-    for name, start, ts in zip(columns, offsets, thresholds):
-        block = marginals[start : start + ts.category_count]
-        drawn = np.flatnonzero(block)
-        try:
-            drawn_thresholds.append(
-                _thresholds_from_counts(block[drawn], np.array(ts.categories)[drawn])
-            )
-        except DataError as exc:
-            raise DataError(f"column '{name}': {exc}") from None
-        index.append(start + drawn)
-    # the cross-product is passed on unnamed, so the pair solve can free it
-    return _pair_correlations(
-        _code_gram(codes, offsets, width, counts), drawn_thresholds, index, columns, epsilon
-    )
 
 
 # Bytes of one weighted copy's share of a row chunk in the weighted moments.

@@ -106,7 +106,6 @@ class SimulationConfig:
     sample_size: int = 250
     seed: int = 0
     epsilon: float = 0.0
-    on_degenerate: str = "regenerate"  # "regenerate" | "error"
     tol: float = 1e-7
     max_iter: int = 300
 
@@ -119,8 +118,6 @@ class SimulationConfig:
             raise DataError("need at least one replication")
         if self.sample_size < 3:
             raise DataError("sample size must be at least 3")
-        if self.on_degenerate not in ("regenerate", "error"):
-            raise DataError(f"unknown degenerate-sample policy '{self.on_degenerate}'")
 
 
 def rescale_to_points(values: np.ndarray, npoints: int) -> np.ndarray:
@@ -168,9 +165,8 @@ def _draw_once(config: SimulationConfig, rng) -> tuple[np.ndarray, np.ndarray]:
 def generate_dataset(config: SimulationConfig, rng) -> tuple[DataMatrix, np.ndarray]:
     """One ordinal dataset plus the true latent draws behind it.
 
-    With ``on_degenerate="regenerate"`` a zero-range indicator triggers a
-    fresh draw from the same stream (still deterministic given the seed);
-    with "error" it raises.
+    A zero-range indicator triggers a fresh draw from the same stream
+    (still deterministic given the seed).
     """
     model = simulation_model()
     for _ in range(100):
@@ -180,8 +176,6 @@ def generate_dataset(config: SimulationConfig, rng) -> tuple[DataMatrix, np.ndar
                 [rescale_to_points(indicators[:, k], config.npoints) for k in range(18)]
             )
         except DataError:
-            if config.on_degenerate == "error":
-                raise
             continue
         data = DataMatrix(
             values=codes,

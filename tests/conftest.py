@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oplspm import DataMatrix, build_model
+from oplspm.model import DataMatrix, build_model
 
 ECSI_MODEL = """
 model mobile-phone

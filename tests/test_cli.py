@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import ordinal_dataset, random_recursive_model
-from oplspm import (
-    fit_correlation_model,
-    latent_thresholds,
-    load_data,
-    parse_model,
-    pearson_matrix,
-    polychoric_matrix,
-    predict_categories,
-)
+from oplspm.estimation import fit_correlation_model
+from oplspm.model import load_data, parse_model
+from oplspm.polychoric import pearson_matrix, polychoric_matrix
+from oplspm.scores import latent_thresholds, predict_categories
 from oplspm import cli
 from oplspm.cli import main
 

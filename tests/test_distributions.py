@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oplspm import (
+from oplspm.distributions import (
     bvn_cdf,
     sample_standardized_beta,
     std_normal_cdf,

@@ -5,26 +5,24 @@ from hypothesis import strategies as st
 
 from conftest import factor_dataset, ordinal_dataset
 from oplspm import estimation, pls
-from oplspm import (
-    CorrelationMatrix,
-    DataError,
-    DataMatrix,
-    ConvergenceError,
-    EstimationError,
-    OplsError,
+from oplspm.errors import ConvergenceError, DataError, EstimationError, OplsError
+from oplspm.estimation import (
     bootstrap_inner,
-    build_model,
     cronbach_alpha_ordinal,
     dillon_goldstein_rho,
     fit_correlation_model,
     inner_coefficients,
-    matrix_pls_fit,
     outer_loadings,
+)
+from oplspm.model import DataMatrix, build_model
+from oplspm.pls import matrix_pls_fit, score_based_pls_fit
+from oplspm.polychoric import (
+    CorrelationMatrix,
+    _count_polychoric,
+    _ordinal_codes,
     pearson_matrix,
     polychoric_matrix,
-    score_based_pls_fit,
 )
-from oplspm.polychoric import _ordinal_codes, _replicate_polychoric
 
 
 def chain_model():
@@ -75,14 +73,15 @@ class TestInnerCoefficients:
             assert 0.0 <= eq.r_squared <= 1.0
 
     def test_singular_system(self):
+        # both equations are singular; the error names the first
         model = build_model(
             "sing",
             ["a", "b"],
-            ["c"],
-            {"a": ["a1"], "b": ["b1"], "c": ["c1"]},
-            [("a", "c"), ("b", "c")],
+            ["c", "d"],
+            {"a": ["a1"], "b": ["b1"], "c": ["c1"], "d": ["d1"]},
+            [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")],
         )
-        p = np.ones((3, 3))
+        p = np.ones((4, 4))
         with pytest.raises(EstimationError, match="singular inner system for equation 'c'"):
             inner_coefficients(p, model)
 
@@ -94,8 +93,6 @@ class TestOuterLoadings:
         )
         x = rng.multivariate_normal([0, 0], [[1, 0.5], [0.5, 1]], 400)
         sigma = pearson_matrix(x)
-        from oplspm import matrix_pls_fit
-
         fit = matrix_pls_fit(sigma, model)
         lams = outer_loadings(sigma.values @ fit.weights.standardized, model)
         assert lams == pytest.approx([1.0, 1.0], abs=1e-12)
@@ -108,8 +105,6 @@ class TestOuterLoadings:
         sigma_values = np.array(
             [[1.0, 0.64, 0.3], [0.64, 1.0, 0.3], [0.3, 0.3, 1.0]]
         )
-        from oplspm import CorrelationMatrix, matrix_pls_fit
-
         sigma = CorrelationMatrix.build(sigma_values, "pearson")
         fit = matrix_pls_fit(sigma, model)
         lams = outer_loadings(sigma_values @ fit.weights.standardized, model)
@@ -228,7 +223,7 @@ class TestBootstrap:
         # the opls replicate's polychoric estimation
         model = chain_model()
         data = ordinal_dataset(model, rng, n=80)
-        real_replicate = estimation._replicate_polychoric
+        real_replicate = estimation._count_polychoric
 
         def failing_on(nth, error):
             calls = []
@@ -242,12 +237,12 @@ class TestBootstrap:
             return replicate
 
         failing = failing_on(2, EstimationError("singular"))
-        monkeypatch.setattr(estimation, "_replicate_polychoric", failing)
+        monkeypatch.setattr(estimation, "_count_polychoric", failing)
         result = bootstrap_inner(data, model, mode="opls", n_boot=5, seed=4)
         assert (result.n_effective, result.n_failed) == (4, 1)
 
         failing = failing_on(2, TypeError("bad argument"))
-        monkeypatch.setattr(estimation, "_replicate_polychoric", failing)
+        monkeypatch.setattr(estimation, "_count_polychoric", failing)
         with pytest.raises(TypeError, match="bad argument"):
             bootstrap_inner(data, model, mode="opls", n_boot=5, seed=4)
 
@@ -329,16 +324,20 @@ class TestCountWeightedBootstrap:
     def test_opls_replicate_rho_bit_identical_with_undrawn_category(self, rng):
         model = chain_model()
         data = rare_category_data(rng, model)
-        thresholds, codes = _ordinal_codes(data)
+        categories, codes = _ordinal_codes(data)
+        full = polychoric_matrix(data)[1]
         draws = np.random.default_rng(11)
         collapsed = 0
         for _ in range(25):
             idx = draws.integers(0, data.n_rows, size=data.n_rows)
             counts = np.bincount(idx, minlength=data.n_rows).astype(float)
             sigma, own = polychoric_matrix(resampled(data, idx))
-            values = _replicate_polychoric(codes, thresholds, data.columns, counts, 0.5)
+            values, drawn = _count_polychoric(codes, categories, data.columns, 0.5, counts)
             assert np.array_equal(values, sigma.values)
-            collapsed += own[0].category_count < thresholds[0].category_count
+            for ts, expected in zip(drawn, own):
+                assert np.array_equal(ts.cuts, expected.cuts)
+                assert ts.categories == expected.categories
+            collapsed += own[0].category_count < full[0].category_count
         assert collapsed > 0
 
     def test_opls_matches_per_replicate_loop(self, rng):
@@ -417,7 +416,10 @@ class TestCountWeightedBootstrap:
         bad = good.copy()
         bad[0, 1] = bad[1, 0] = 1.0  # identical covariates
         equations = [(2, np.array([0, 1]))]
-        coefficients, solved = estimation._stacked_paths(np.stack([good, bad, good]), equations)
-        assert solved.tolist() == [True, False, True]
-        assert np.allclose(coefficients[0], np.linalg.solve(good[:2, :2], good[:2, 2]), atol=1e-15)
+        solutions, singular = estimation._structural_solve(np.stack([good, bad, good]), equations)
+        [(coefficients, r_squared)] = solutions
+        assert singular.tolist() == [-1, 2, -1]
+        beta = np.linalg.solve(good[:2, :2], good[:2, 2])
+        assert np.allclose(coefficients[0], beta, atol=1e-15)
+        assert r_squared[0] == pytest.approx(beta @ good[:2, 2], abs=1e-15)
         assert np.array_equal(coefficients[0], coefficients[2])

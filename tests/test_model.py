@@ -5,15 +5,8 @@ import pytest
 
 from conftest import ECSI_MODEL, random_recursive_model
 from oplspm import model as model_module
-from oplspm import (
-    DataError,
-    DataMatrix,
-    ModelError,
-    load_csv,
-    load_data,
-    parse_model,
-    serialize_model,
-)
+from oplspm.errors import DataError, ModelError
+from oplspm.model import DataMatrix, load_csv, load_data, parse_model, serialize_model
 
 
 class TestParseModel:

@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import ECSI_MODEL, factor_dataset, random_recursive_model
-from oplspm import (
-    ConvergenceError,
-    DataError,
-    DataMatrix,
-    build_model,
-    initial_weights,
-    matrix_pls_fit,
-    parse_model,
-    pearson_matrix,
-    score_based_pls_fit,
-)
-from oplspm.pls import _matrix_step
+from oplspm.errors import ConvergenceError, DataError
+from oplspm.model import DataMatrix, build_model, parse_model
+from oplspm.pls import _matrix_step, initial_weights, matrix_pls_fit, score_based_pls_fit
+from oplspm.polychoric import pearson_matrix
 
 
 def three_block_model():
@@ -154,7 +146,7 @@ class TestMatrixEngine:
             matrix_pls_fit(np.eye(4), model)
 
     def test_failed_pd_status_rejected(self):
-        from oplspm import CorrelationMatrix
+        from oplspm.polychoric import CorrelationMatrix
 
         model = build_model(
             "one", ["a"], ["b"], {"a": ["x1", "x2"], "b": ["y1"]}, [("a", "b")]

@@ -2,28 +2,28 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtri
 
 from conftest import random_recursive_model, ordinal_dataset
 from oplspm import polychoric
-from oplspm import (
+from oplspm.errors import ConvergenceError, DataError
+from oplspm.model import DataMatrix
+from oplspm.polychoric import (
     ContingencyTable,
-    ConvergenceError,
     CorrelationMatrix,
-    DataError,
-    DataMatrix,
-    SimulationConfig,
     ThresholdSet,
     cell_probabilities,
     crosstab,
     estimate_thresholds,
-    generate_dataset,
     nearest_pd_repair,
     pearson_matrix,
     polychoric_matrix,
     polychoric_pair,
 )
+from oplspm.simulate import SimulationConfig, generate_dataset
 
 RHO_BOUND = 0.999
 
@@ -36,10 +36,23 @@ def make_ts(cuts, n_cat=None):
 
 def count_tables(codes, thresholds, pairs, epsilon):
     """Pair tables of internal codes from the one-hot cross-product, as polychoric_matrix does."""
-    offsets, width = polychoric._category_offsets(thresholds)
-    gram = polychoric._code_gram(np.asarray(codes), offsets, width)
-    index = [start + np.arange(ts.category_count) for start, ts in zip(offsets, thresholds)]
+    sizes = [ts.category_count for ts in thresholds]
+    offsets = np.cumsum([0, *sizes[:-1]])
+    gram = polychoric._code_gram(np.asarray(codes), offsets, sum(sizes))
+    index = [start + np.arange(size) for start, size in zip(offsets, sizes)]
     return polychoric._pair_tables(gram, index, pairs, epsilon)
+
+
+def factor_codes(seed, k, n):
+    """N x K ordinal codes of one common factor, each column with 2 to 7 categories."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 1)) * rng.uniform(-0.9, 0.9, size=k) + 0.6 * rng.normal(size=(n, k))
+    columns = []
+    for j in range(k):
+        cuts = np.quantile(z[:, j], np.sort(rng.uniform(0.1, 0.9, size=rng.integers(1, 7))))
+        columns.append(np.searchsorted(cuts, z[:, j]) + 1)
+    names = tuple(f"v{j}" for j in range(k))
+    return DataMatrix(np.column_stack(columns).astype(float), names, ("ordinal",) * k)
 
 
 def grid_search(table, ts_h, ts_k, n_grid=2001):
@@ -118,10 +131,6 @@ class TestThresholds:
     def test_empty_error(self):
         with pytest.raises(DataError, match="empty"):
             estimate_thresholds(np.array([], dtype=int))
-
-    def test_max_categories_validation(self):
-        with pytest.raises(DataError, match="exceeds"):
-            estimate_thresholds(np.array([1, 2, 7]), max_categories=5)
 
     def test_unused_categories_collapse(self):
         ts = estimate_thresholds(np.array([1, 3, 3, 5, 5, 5]))
@@ -306,9 +315,12 @@ class TestCountPass:
         ])
         thresholds = [estimate_thresholds(col) for col in original.T]
         codes = np.column_stack([ts.map_codes(col) for ts, col in zip(thresholds, original.T)])
+        data = DataMatrix(original.astype(float), ("a", "b", "c", "d"), ("ordinal",) * 4)
+        categories, compact = polychoric._ordinal_codes(data)
+        assert np.array_equal(compact, codes)
+        assert [tuple(c) for c in categories] == [ts.categories for ts in thresholds]
         pairs = np.array(list(itertools.combinations(range(codes.shape[1]), 2)))
-        tables, degenerate = count_tables(codes, thresholds, pairs, epsilon=0.0)
-        assert degenerate is None
+        tables = count_tables(codes, thresholds, pairs, epsilon=0.0)
         for p, (h, k) in enumerate(pairs):
             i_h, i_k = thresholds[h].category_count, thresholds[k].category_count
             expected = crosstab(codes[:, h], codes[:, k], i_h, i_k)
@@ -319,18 +331,10 @@ class TestCountPass:
         codes = np.array([[1, 1, 2], [2, 2, 2], [1, 1, 1], [3, 2, 2]])
         thresholds = [make_ts([-0.5, 0.5]), make_ts([0.0]), make_ts([0.0])]
         pairs = np.array([[0, 1], [1, 2]])
-        tables, _ = count_tables(codes, thresholds, pairs, epsilon=0.5)
+        tables = count_tables(codes, thresholds, pairs, epsilon=0.5)
         assert np.array_equal(tables[0], [[2.0, 0.5], [0.5, 1.0], [0.5, 1.0]])
         # the 2 x 2 table is padded to 3 rows with zero counts, left unsmoothed
         assert np.array_equal(tables[1], [[1.0, 1.0], [0.5, 2.0], [0.0, 0.0]])
-
-    def test_first_degenerate_pair_reported(self):
-        # column 1 never leaves category 1, though its thresholds allow two
-        codes = np.array([[1, 1, 1], [2, 1, 2], [1, 1, 2], [2, 1, 1]])
-        thresholds = [make_ts([0.0])] * 3
-        pairs = np.array([[0, 2], [0, 1], [1, 2]])
-        _, degenerate = count_tables(codes, thresholds, pairs, epsilon=0.5)
-        assert degenerate == 1
 
     def test_negative_epsilon_names_pair(self, rng):
         data = DataMatrix(
@@ -389,6 +393,53 @@ class TestBrentOracleAgreement:
         sigma = self.assert_agrees(data, epsilon=0.0)
         assert sigma.values[0, 1] == RHO_BOUND
         assert sigma.values[0, 2] == sigma.values[1, 2] == -RHO_BOUND
+
+
+class TestSymmetries:
+    """Relabelling the data moves the count-pass estimates the way the model says."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_column_permutation_permutes_estimates(self, seed, k, draw):
+        data = factor_codes(seed, k, 120)
+        perm = draw.draw(st.permutations(range(k)))
+        sigma, thresholds = polychoric_matrix(data)
+        moved = DataMatrix(
+            data.values[:, perm], tuple(data.columns[p] for p in perm), data.kinds
+        )
+        sigma_p, thresholds_p = polychoric_matrix(moved)
+        for ts, p in zip(thresholds_p, perm):
+            assert np.array_equal(ts.cuts, thresholds[p].cuts)
+            assert ts.categories == thresholds[p].categories
+        # a permutation may transpose a pair's table, which reorders its sums
+        assert np.abs(sigma_p.values - sigma.values[np.ix_(perm, perm)]).max() <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_reversing_a_column_negates_its_correlations(self, seed, k, draw):
+        data = factor_codes(seed, k, 120)
+        j = draw.draw(st.integers(0, k - 1))
+        values = data.values.copy()
+        values[:, j] = values[:, j].max() + 1.0 - values[:, j]
+        sigma, _ = polychoric_matrix(data)
+        flipped, _ = polychoric_matrix(DataMatrix(values, data.columns, data.kinds))
+        sign = np.ones(k)
+        sign[j] = -1.0
+        assert np.abs(flipped.values - sigma.values * np.outer(sign, sign)).max() <= 1e-10
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_transposed_table_same_rho(self, seed):
+        rng = np.random.default_rng(seed)
+        ih, ik = rng.integers(2, 7, 2)
+        ts_h = make_ts(np.sort(rng.normal(size=ih - 1)))
+        ts_k = make_ts(np.sort(rng.normal(size=ik - 1)))
+        counts = rng.integers(0, 30, size=(ih, ik)).astype(float)
+        counts[0, 0] += 1
+        counts[-1, -1] += 1
+        fit = polychoric_pair(ContingencyTable(counts), ts_h, ts_k)
+        transposed = polychoric_pair(ContingencyTable(counts.T.copy()), ts_k, ts_h)
+        assert transposed.rho == pytest.approx(fit.rho, abs=1e-12)
 
 
 class TestPearsonMatrix:

@@ -2,24 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import ordinal_dataset, random_recursive_model
-from oplspm import (
-    DataError,
-    DataMatrix,
-    ThresholdSet,
-    build_model,
+from oplspm.distributions import std_normal_cdf
+from oplspm.errors import DataError
+from oplspm.estimation import fit_correlation_model
+from oplspm.model import DataMatrix, build_model
+from oplspm.pls import score_based_pls_fit
+from oplspm.polychoric import ThresholdSet, estimate_thresholds, pearson_matrix, polychoric_matrix
+from oplspm.scores import (
+    _overlap_probabilities,
     concordance_table,
     direct_scores,
-    estimate_thresholds,
-    fit_correlation_model,
     latent_thresholds,
-    pearson_matrix,
-    polychoric_matrix,
     predict_categories,
     raw_scale_scores,
-    score_based_pls_fit,
-    std_normal_cdf,
 )
-from oplspm.scores import _overlap_probabilities
 
 
 def fit_opls(data, model):

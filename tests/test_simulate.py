@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from oplspm import (
-    DataError,
-    SimulationConfig,
-    bias_ratio_summary,
-    generate_dataset,
-    rescale_to_points,
-    run_study,
-    simulation_model,
-)
+from oplspm.errors import DataError
 from oplspm.simulate import (
     BETA_SHAPES,
     BLOCK_LOADINGS,
@@ -17,6 +9,12 @@ from oplspm.simulate import (
     PARAMETERS,
     TRUE_VALUES,
     ZETA_VARIANCES,
+    SimulationConfig,
+    bias_ratio_summary,
+    generate_dataset,
+    rescale_to_points,
+    run_study,
+    simulation_model,
 )
 
 
@@ -33,7 +31,6 @@ class TestConfig:
             {"npoints": 6},
             {"replications": 0},
             {"sample_size": 2},
-            {"on_degenerate": "ignore"},
         ],
     )
     def test_validation(self, kw):
