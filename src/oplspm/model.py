@@ -269,6 +269,8 @@ class DataMatrix:
         n, k = self.values.shape
         if n < 3:
             raise DataError(f"need at least 3 observations, got {n}")
+        if k == 0:
+            raise DataError("data must have at least one column")
         if len(self.columns) != k or len(self.kinds) != k:
             raise DataError("column names/kinds do not match data width")
         if not np.all(np.isfinite(self.values)):

@@ -43,7 +43,6 @@ RHO_BOUND = 0.999
 THRESHOLD_BOUND = 4.0
 _PD_TOL = 1e-10
 _LOG_FLOOR = 1e-300
-_SCAN = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
 _MAX_ITER = 100
 # A pair's Newton refinement stops at the first step shorter than this.
 _XATOL = 1e-8
@@ -230,13 +229,14 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     add exactly 0 to the loglikelihood and its derivatives, and a pair's
     result does not depend on which pairs share its batch.
 
-    A 21-point scan over [-0.999, 0.999] brackets each pair's maximum
-    between the neighbours of its best scan point. Newton steps on the
-    analytic score (dPhi2/drho = phi2) then refine inside that bracket,
-    falling back to bisection on the sign of the score whenever a step
-    leaves the bracket or the curvature is not negative; only pairs still
-    moving are evaluated again. A bound is kept when its loglikelihood
-    beats the refined point, so concordant tables return exactly +/-0.999.
+    Each pair starts cold at the Pearson correlation of its category
+    indices under its own table. Newton steps on the analytic score
+    (dPhi2/drho = phi2) climb from there inside a bracket that starts as
+    [-0.999, 0.999] and shrinks to the uphill side of each point; a step
+    that leaves it, meets a curvature that is not negative or does not
+    halve the step before last bisects instead, and a point with a floored
+    observed cell shrinks it toward the last point without one. A bound the
+    final bracket still reaches is kept when its loglikelihood is higher.
 
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
@@ -269,57 +269,59 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         loglik = np.sum(w * np.log(np.maximum(probs, _LOG_FLOOR)), axis=(1, 2))
         if not derivatives:
             return loglik
-        d1 = np.zeros(cdf.shape)
-        d2 = np.zeros(cdf.shape)
+        d1, d2 = np.zeros((2, *cdf.shape))
         d1[mask], d2[mask] = _bvn_pdf_drho(h, k, r)
         dp = np.diff(np.diff(d1, axis=1), axis=2)
         d2p = np.diff(np.diff(d2, axis=1), axis=2)
         # floored cells are flat in rho, so they drop out of the derivatives
         live = probs > _LOG_FLOOR
+        floored = np.any((w > 0.0) & ~live, axis=(1, 2))
         w = np.where(live, w, 0.0)
         probs = np.where(live, probs, 1.0)
         ratio = dp / probs
         score = np.sum(w * ratio, axis=(1, 2))
         curvature = np.sum(w * (d2p / probs - ratio * ratio), axis=(1, 2))
-        return loglik, score, curvature
+        return loglik, score, curvature, floored
 
-    everyone = np.ones(n, dtype=bool)
-    scan_ll = np.empty((n, _SCAN.size))
-    for i, r in enumerate(_SCAN):
-        scan_ll[:, i] = evaluate(everyone, r, derivatives=False)
-    best = np.argmax(scan_ll, axis=1)
-    lo = _SCAN[np.maximum(best - 1, 0)]
-    hi = _SCAN[np.minimum(best + 1, _SCAN.size - 1)]
-    at_bound = [(0, lo == -RHO_BOUND), (_SCAN.size - 1, hi == RHO_BOUND)]
-
-    rho = _SCAN[best]
-    loglik = scan_ll[np.arange(n), best]
-    active = everyone.copy()
+    # index correlations (padded cells weigh nothing), +/-1 when concordant
+    p = weights / weights.sum(axis=(1, 2), keepdims=True)
+    d_h = np.arange(rows)[:, None] - np.sum(p * np.arange(rows)[:, None], axis=(1, 2), keepdims=True)
+    d_k = np.arange(cols) - np.sum(p * np.arange(cols), axis=(1, 2), keepdims=True)
+    cov, var_h, var_k = (np.sum(p * d, axis=(1, 2)) for d in (d_h * d_k, d_h * d_h, d_k * d_k))
+    rho = np.clip(cov / np.sqrt(var_h * var_k), -np.nextafter(RHO_BOUND, 0), np.nextafter(RHO_BOUND, 0))
+    lo, hi = np.full(n, -RHO_BOUND), np.full(n, RHO_BOUND)
+    best, loglik = rho.copy(), np.full(n, -np.inf)
+    step, older = np.full((2, n), hi - lo)  # the last two step lengths
+    active = np.ones(n, dtype=bool)
     for _ in range(_MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        ll, score, curvature = evaluate(active, rho, derivatives=True)
+        ll, score, curvature, floored = evaluate(active, rho, derivatives=True)
         x = rho[idx]
-        loglik[idx] = ll
-        # the maximum lies uphill of x: shrink the bracket to that side
-        up = score > 0.0
+        # after the first point, a floored point's score is not trusted
+        floored &= np.isfinite(loglik[idx])
+        best[idx[~floored]], loglik[idx[~floored]] = x[~floored], ll[~floored]
+        up = np.where(floored, x < best[idx], score > 0.0)
         a = np.where(up, x, lo[idx])
         b = np.where(up, hi[idx], x)
         lo[idx], hi[idx] = a, b
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - score / curvature
-        ok = (curvature < 0.0) & (newton >= a) & (newton <= b)
+        ok = ~floored & (curvature < 0.0) & (newton >= a) & (newton <= b)
+        ok &= 2.0 * np.abs(newton - x) <= older[idx]
         step_to = np.where(ok, newton, 0.5 * (a + b))
-        moving = np.abs(step_to - x) >= _XATOL
+        older[idx], step[idx] = step[idx], np.abs(step_to - x)
+        moving = step[idx] >= _XATOL
         rho[idx[moving]] = step_to[moving]
         active[idx[~moving]] = False
 
-    for i, candidate in at_bound:
-        better = candidate & (scan_ll[:, i] > loglik)
-        rho = np.where(better, _SCAN[i], rho)
-        loglik = np.where(better, scan_ll[:, i], loglik)
-    return rho, loglik, ~active
+    for bound, reaches in ((-RHO_BOUND, lo == -RHO_BOUND), (RHO_BOUND, hi == RHO_BOUND)):
+        at_bound = np.full(n, -np.inf)
+        at_bound[reaches] = evaluate(reaches, bound, derivatives=False)
+        wins = at_bound > loglik
+        best[wins], loglik[wins] = bound, at_bound[wins]
+    return best, loglik, ~active
 
 
 def polychoric_pair(
@@ -327,9 +329,9 @@ def polychoric_pair(
 ) -> PairResult:
     """Maximize the table loglikelihood over the correlation alone.
 
-    The search runs over [-0.999, 0.999]: a coarse scan locates the basin,
-    safeguarded Newton steps polish it until a step is below 1e-8,
-    and the clip bounds themselves are kept as candidates so perfectly
+    Safeguarded Newton steps start at the table's index correlation and
+    stop at the first step below 1e-8 inside [-0.999, 0.999]; a bound the
+    search still reaches is kept when it fits better, so perfectly
     concordant tables return exactly the bound. This is the one-pair case
     of the solver ``polychoric_matrix`` runs on all pairs at once.
 
@@ -342,9 +344,7 @@ def polychoric_pair(
         If the refinement does not converge; carries the best rho found.
     """
     _check_table(table, thresholds_h, thresholds_k)
-    rho, loglik, converged = _solve_pairs(
-        table.smoothed()[None], [thresholds_h.cuts], [thresholds_k.cuts]
-    )
+    rho, loglik, converged = _solve_pairs(table.smoothed()[None], [thresholds_h.cuts], [thresholds_k.cuts])
     if not converged[0]:
         raise ConvergenceError(_NOT_CONVERGED, best=float(rho[0]))
     return PairResult(rho=float(rho[0]), loglik=float(loglik[0]))

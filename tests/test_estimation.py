@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import factor_dataset, ordinal_dataset
+from conftest import factor_dataset, ordinal_dataset, random_recursive_model
 from oplspm import estimation, pls
 from oplspm.errors import ConvergenceError, DataError, EstimationError, OplsError
 from oplspm.estimation import (
@@ -203,6 +203,35 @@ class TestFitResult:
         fit = fit_correlation_model(pearson_matrix(data), model)
         assert fit.reliability[0].cronbach_alpha is None
         assert fit.reliability[1].cronbach_alpha is not None
+
+
+class TestIndicatorPermutation:
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_permuting_indicators_within_blocks(self, seed, draw):
+        rng = np.random.default_rng(seed)
+        model = random_recursive_model(rng, n_latents=int(rng.integers(2, 5)), max_indicators=4)
+        data = ordinal_dataset(model, rng, n=200, npoints=5)
+        orders = [draw.draw(st.permutations(range(size))) for size in model.block_sizes]
+        names, n_exo = model.latent_names, model.exogenous_count
+        moved = build_model(
+            model.name,
+            names[:n_exo],
+            names[n_exo:],
+            {name: [block[i] for i in order] for name, block, order in zip(names, model.blocks, orders)},
+            [(names[k], names[j]) for j, k in zip(*np.nonzero(model.inner_adjacency))],
+        )
+        perm = np.concatenate([model.block_slice(j).start + np.array(order) for j, order in enumerate(orders)])
+        moved_data = DataMatrix(data.values[:, perm], moved.indicator_names, data.kinds)
+        fit = fit_correlation_model(polychoric_matrix(data)[0], model)
+        fit_p = fit_correlation_model(polychoric_matrix(moved_data)[0], moved)
+        # a permutation moves rho by rounding only, so the bound is 1e-12, not equality
+        assert np.abs(fit_p.weights.raw - fit.weights.raw[perm]).max() <= 1e-12
+        assert np.abs(fit_p.weights.standardized - fit.weights.standardized[perm]).max() <= 1e-12
+        assert np.abs(fit_p.latent_correlations - fit.latent_correlations).max() <= 1e-12
+        for eq, eq_p in zip(fit.inner, fit_p.inner):
+            assert (eq_p.target, eq_p.covariates) == (eq.target, eq.covariates)
+            assert np.abs(eq_p.coefficients - eq.coefficients).max() <= 1e-12
 
 
 class TestBootstrap:

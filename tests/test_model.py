@@ -149,6 +149,10 @@ class TestLoadData:
         with pytest.raises(DataError, match="at least 3"):
             DataMatrix(np.ones((2, 1)), ("a",), ("interval",))
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(DataError, match="at least one column"):
+            DataMatrix(np.empty((5, 0)), (), ())
+
     def test_load_csv_without_model(self):
         data = load_csv(io.StringIO("a,b\n1,2\n2,3\n3,1\n"), kinds="ordinal")
         assert data.all_ordinal

@@ -2,13 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from conftest import random_recursive_model, ordinal_dataset
 from oplspm import polychoric
+from oplspm.distributions import _bvn_cdf_finite, _bvn_pdf_drho
 from oplspm.errors import ConvergenceError, DataError
 from oplspm.model import DataMatrix
 from oplspm.polychoric import (
@@ -26,6 +27,13 @@ from oplspm.polychoric import (
 from oplspm.simulate import SimulationConfig, generate_dataset
 
 RHO_BOUND = 0.999
+# the acceptance suite's seed, for the datasets its criteria draw
+ACCEPTANCE_SEED = 20260810
+# the scan solver's constants, frozen with it
+_SCAN = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
+_MAX_ITER = 100
+_XATOL = 1e-8
+_LOG_FLOOR = 1e-300
 
 
 def make_ts(cuts, n_cat=None):
@@ -84,6 +92,133 @@ def brent_oracle(table, ts_h, ts_k):
     candidates = [(float(result.x), -float(result.fun))]
     candidates += [(b, loglik(b)) for b in (-RHO_BOUND, RHO_BOUND) if b in (lo, hi)]
     return max(candidates, key=lambda c: c[1])[0]
+
+
+def scan_oracle(weights, cuts_h, cuts_k):
+    """The pair solver before the cold start, frozen: ``_solve_pairs`` as it was.
+
+    Two-step ML correlation of many pair tables at once.
+
+    ``weights[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
+    ``cuts_k[p]`` its interior thresholds. Every pair is padded to one
+    corner grid: ``weights`` is stacked at the largest table shape with
+    zero counts in the padded cells, and padded limits are +inf, so they
+    add exactly 0 to the loglikelihood and its derivatives, and a pair's
+    result does not depend on which pairs share its batch.
+
+    A 21-point scan over [-0.999, 0.999] brackets each pair's maximum
+    between the neighbours of its best scan point. Newton steps on the
+    analytic score (dPhi2/drho = phi2) then refine inside that bracket,
+    falling back to bisection on the sign of the score whenever a step
+    leaves the bracket or the curvature is not negative; only pairs still
+    moving are evaluated again. A bound is kept when its loglikelihood
+    beats the refined point, so concordant tables return exactly +/-0.999.
+
+    Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
+    """
+    n, rows, cols = weights.shape
+    lim_h = np.full((n, rows + 1), np.inf)
+    lim_k = np.full((n, cols + 1), np.inf)
+    lim_h[:, 0] = lim_k[:, 0] = -np.inf
+    for p, (ch, ck) in enumerate(zip(cuts_h, cuts_k)):
+        lim_h[p, 1 : 1 + ch.size] = ch
+        lim_k[p, 1 : 1 + ck.size] = ck
+
+    # CDF corners on an infinite limit are marginals fixed by the
+    # thresholds; only the finite interior corners depend on rho.
+    grid_h, grid_k = np.broadcast_arrays(lim_h[:, :, None], lim_k[:, None, :])
+    finite = np.isfinite(grid_h) & np.isfinite(grid_k)
+    fixed = np.where(np.isposinf(grid_h), ndtr(grid_k), np.where(np.isposinf(grid_k), ndtr(grid_h), 0.0))
+    corner_h, corner_k = grid_h[finite], grid_k[finite]
+    owner = np.nonzero(finite)[0]
+
+    def evaluate(active, rho, derivatives):
+        # Loglikelihood (and score, curvature) of the active pairs at rho.
+        sel = active[owner]
+        h, k = corner_h[sel], corner_k[sel]
+        r = rho if np.ndim(rho) == 0 else rho[owner[sel]]
+        mask = finite[active]
+        cdf = fixed[active]
+        cdf[mask] = _bvn_cdf_finite(h, k, r)
+        probs = np.diff(np.diff(cdf, axis=1), axis=2)
+        w = weights[active]
+        loglik = np.sum(w * np.log(np.maximum(probs, _LOG_FLOOR)), axis=(1, 2))
+        if not derivatives:
+            return loglik
+        d1 = np.zeros(cdf.shape)
+        d2 = np.zeros(cdf.shape)
+        d1[mask], d2[mask] = _bvn_pdf_drho(h, k, r)
+        dp = np.diff(np.diff(d1, axis=1), axis=2)
+        d2p = np.diff(np.diff(d2, axis=1), axis=2)
+        # floored cells are flat in rho, so they drop out of the derivatives
+        live = probs > _LOG_FLOOR
+        w = np.where(live, w, 0.0)
+        probs = np.where(live, probs, 1.0)
+        ratio = dp / probs
+        score = np.sum(w * ratio, axis=(1, 2))
+        curvature = np.sum(w * (d2p / probs - ratio * ratio), axis=(1, 2))
+        return loglik, score, curvature
+
+    everyone = np.ones(n, dtype=bool)
+    scan_ll = np.empty((n, _SCAN.size))
+    for i, r in enumerate(_SCAN):
+        scan_ll[:, i] = evaluate(everyone, r, derivatives=False)
+    best = np.argmax(scan_ll, axis=1)
+    lo = _SCAN[np.maximum(best - 1, 0)]
+    hi = _SCAN[np.minimum(best + 1, _SCAN.size - 1)]
+    at_bound = [(0, lo == -RHO_BOUND), (_SCAN.size - 1, hi == RHO_BOUND)]
+
+    rho = _SCAN[best]
+    loglik = scan_ll[np.arange(n), best]
+    active = everyone.copy()
+    for _ in range(_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        ll, score, curvature = evaluate(active, rho, derivatives=True)
+        x = rho[idx]
+        loglik[idx] = ll
+        # the maximum lies uphill of x: shrink the bracket to that side
+        up = score > 0.0
+        a = np.where(up, x, lo[idx])
+        b = np.where(up, hi[idx], x)
+        lo[idx], hi[idx] = a, b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - score / curvature
+        ok = (curvature < 0.0) & (newton >= a) & (newton <= b)
+        step_to = np.where(ok, newton, 0.5 * (a + b))
+        moving = np.abs(step_to - x) >= _XATOL
+        rho[idx[moving]] = step_to[moving]
+        active[idx[~moving]] = False
+
+    for i, candidate in at_bound:
+        better = candidate & (scan_ll[:, i] > loglik)
+        rho = np.where(better, _SCAN[i], rho)
+        loglik = np.where(better, scan_ll[:, i], loglik)
+    return rho, loglik, ~active
+
+
+def oracle_gap(monkeypatch, estimate):
+    """Largest |change| in ``estimate()`` when the frozen scan solver takes the pairs."""
+    current = np.asarray(estimate())
+    with monkeypatch.context() as patch:
+        patch.setattr(polychoric, "_solve_pairs", scan_oracle)
+        frozen = np.asarray(estimate())
+    return float(np.abs(current - frozen).max())
+
+
+def sparse_table(seed, epsilon):
+    """A table with many empty cells, every row and column drawn, and its two-step thresholds."""
+    rng = np.random.default_rng(seed)
+    ih, ik = rng.integers(2, 10, 2)
+    counts = rng.integers(1, 30, size=(ih, ik)) * (rng.random((ih, ik)) < rng.uniform(0.05, 0.6))
+    for i in np.flatnonzero(counts.sum(axis=1) == 0):
+        counts[i, rng.integers(ik)] = rng.integers(1, 30)
+    for j in np.flatnonzero(counts.sum(axis=0) == 0):
+        counts[rng.integers(ih), j] = rng.integers(1, 30)
+    ts_h = polychoric._thresholds_from_counts(counts.sum(axis=1), np.arange(1, ih + 1))
+    ts_k = polychoric._thresholds_from_counts(counts.sum(axis=0), np.arange(1, ik + 1))
+    return ContingencyTable(counts.astype(float), epsilon=epsilon), ts_h, ts_k
 
 
 def pair_tables(data, thresholds, epsilon):
@@ -393,6 +528,91 @@ class TestBrentOracleAgreement:
         sigma = self.assert_agrees(data, epsilon=0.0)
         assert sigma.values[0, 1] == RHO_BOUND
         assert sigma.values[0, 2] == sigma.values[1, 2] == -RHO_BOUND
+
+
+class TestScanOracleAgreement:
+    """The cold-start solver against the frozen scan solver it replaced, on every gate set."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    @pytest.mark.parametrize("law", ["normal", "beta"])
+    @pytest.mark.parametrize("npoints", [4, 5, 7, 9])
+    def test_simulation_cells(self, monkeypatch, law, npoints, epsilon):
+        config = SimulationConfig(latent_law=law, npoints=npoints, replications=1, seed=5)
+        data, _ = generate_dataset(config, np.random.default_rng([config.seed, 0]))
+        assert oracle_gap(monkeypatch, lambda: polychoric_matrix(data, epsilon)[0].values) <= 1e-6
+
+    def test_acceptance_pair_tables(self, monkeypatch):
+        # the tables of criteria 03 (random thresholds, eps 0.5) and 04 (1e5 draws)
+        rng = np.random.default_rng(ACCEPTANCE_SEED)
+        fits = []
+        for _ in range(50):
+            ih, ik = rng.integers(2, 10, 2)
+            ts_h = make_ts(np.sort(rng.normal(size=ih - 1)))
+            ts_k = make_ts(np.sort(rng.normal(size=ik - 1)))
+            counts = rng.integers(0, 25, size=(ih, ik)).astype(float)
+            counts[0, 0] += 1
+            counts[-1, -1] += 1
+            fits.append((ContingencyTable(counts), ts_h, ts_k))
+        rng = np.random.default_rng(ACCEPTANCE_SEED)
+        for rho in (0.3, 0.6, 0.9):
+            z = rng.multivariate_normal([0, 0], [[1, rho], [rho, 1]], size=100_000)
+            x, y = (np.searchsorted([-1.0, 0.0, 1.0], z[:, j]) + 1 for j in (0, 1))
+            ts_x, ts_y = estimate_thresholds(x), estimate_thresholds(y)
+            counts = crosstab(ts_x.map_codes(x), ts_y.map_codes(y), 4, 4)
+            fits.append((ContingencyTable(counts), ts_x, ts_y))
+        assert oracle_gap(monkeypatch, lambda: [polychoric_pair(*fit).rho for fit in fits]) <= 1e-6
+
+    def test_acceptance_datasets(self, monkeypatch):
+        # criterion 08's homogeneous and general data
+        rng = np.random.default_rng(ACCEPTANCE_SEED)
+        cats = rng.integers(1, 6, size=300)
+        cats[:5] = np.arange(1, 6)
+        homogeneous = DataMatrix(np.tile(cats[:, None], (1, 5)).astype(float), tuple("abcde"), ("ordinal",) * 5)
+        model = random_recursive_model(np.random.default_rng(ACCEPTANCE_SEED + 1), n_latents=4, max_indicators=3)
+        general = ordinal_dataset(model, np.random.default_rng(ACCEPTANCE_SEED + 2), n=250, npoints=4)
+        for data in (homogeneous, general):
+            assert oracle_gap(monkeypatch, lambda: polychoric_matrix(data)[0].values) <= 1e-6
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=100, deadline=None)
+    @example(429, 0.0)  # a Newton step lands where an observed cell's probability is floored
+    @example(34, 0.0)  # the maximum is a bound that plain Newton steps only creep toward
+    def test_sparse_tables(self, seed, epsilon):
+        table, ts_h, ts_k = sparse_table(seed, epsilon)
+        fit = polychoric_pair(table, ts_h, ts_k)
+        rho, loglik, converged = scan_oracle(table.smoothed()[None], [ts_h.cuts], [ts_k.cuts])
+        if converged[0]:
+            assert abs(fit.rho - rho[0]) <= 1e-6
+        else:  # the scan solver can creep along a flat loglikelihood without settling
+            assert fit.loglik >= loglik[0]
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 6), (7, 3)])
+    def test_concordant_tables_at_bound(self, rng, shape):
+        ih, ik = shape
+        steps = max(ih, ik)
+        counts = np.zeros(shape)
+        counts[np.arange(steps) * ih // steps, np.arange(steps) * ik // steps] = rng.integers(1, 30, size=steps)
+        for sign, table in ((1.0, counts), (-1.0, counts[:, ::-1].copy())):
+            ts_h = polychoric._thresholds_from_counts(table.sum(axis=1), np.arange(1, ih + 1))
+            ts_k = polychoric._thresholds_from_counts(table.sum(axis=0), np.arange(1, ik + 1))
+            fit = polychoric_pair(ContingencyTable(table, epsilon=0.0), ts_h, ts_k)
+            rho, _, _ = scan_oracle(table[None], [ts_h.cuts], [ts_k.cuts])
+            assert fit.rho == rho[0] == sign * RHO_BOUND
+
+    def test_bootstrap_replicate_with_undrawn_categories(self, monkeypatch, rng):
+        data = factor_codes(3, 5, 60)
+        values = data.values.copy()
+        values[:2, 0] = values[:, 0].max() + 1.0  # a category of rows 0 and 1 only
+        data = DataMatrix(values, data.columns, data.kinds)
+        categories, codes = polychoric._ordinal_codes(data)
+        counts = np.bincount(rng.integers(2, 60, size=60), minlength=60).astype(float)
+        _, drawn = polychoric._count_polychoric(codes, categories, data.columns, 0.5, counts)
+        assert drawn[0].category_count == categories[0].size - 1
+
+        def replicate():
+            return polychoric._count_polychoric(codes, categories, data.columns, 0.5, counts)[0]
+
+        assert oracle_gap(monkeypatch, replicate) <= 1e-6
 
 
 class TestSymmetries:
