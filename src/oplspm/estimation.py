@@ -242,10 +242,10 @@ def fit_correlation_model(
 class BootstrapResult:
     """Nonparametric bootstrap of the inner coefficients.
 
-    This is an extension, not part of the core procedure: rows are
-    resampled with replacement, the chosen correlation matrix is recomputed
-    and the model refitted. ``p_values`` are two-sided percentile
-    sign-crossing probabilities.
+    This is an extension, not part of the core procedure: each replicate
+    is a vector of counts of rows drawn with replacement, from which the
+    chosen correlation matrix is recomputed and the model refitted.
+    ``p_values`` are two-sided percentile sign-crossing probabilities.
     """
 
     names: list[tuple[str, str]]  # (target, covariate)
@@ -331,7 +331,11 @@ def bootstrap_inner(
     in ``n_failed``, when a column is constant in it, its matrix is not
     positive definite, its PLS update is singular or does not converge,
     an inner system is singular, or its polychoric estimation raises.
+    A standard error needs two replicates: ``n_boot`` below 2, or fewer
+    than 2 replicates that succeed, raise ``EstimationError``.
     """
+    if n_boot < 2:
+        raise EstimationError(f"n_boot must be at least 2, got {n_boot}")
     if mode not in ("pls", "opls"):
         raise EstimationError(f"unknown mode '{mode}'")
     if data.n_cols != model.n_indicators:
@@ -360,8 +364,10 @@ def bootstrap_inner(
         draws.append(np.concatenate([beta for beta, _ in solutions], axis=1)[solved])
         failed += size - int(solved.sum())
     b = np.concatenate(draws)
-    if not b.shape[0]:
-        raise EstimationError("all bootstrap replicates failed")
+    if b.shape[0] < 2:
+        raise EstimationError(
+            f"{b.shape[0]} of {n_boot} bootstrap replicates succeeded; need at least 2"
+        )
     below = (b <= 0.0).mean(axis=0)
     above = (b >= 0.0).mean(axis=0)
     p = np.clip(2.0 * np.minimum(below, above), 0.0, 1.0)

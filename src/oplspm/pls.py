@@ -71,8 +71,6 @@ class WeightState:
 
     raw: np.ndarray
     standardized: np.ndarray
-    iterations: int
-    delta: float
 
 
 @dataclass
@@ -251,12 +249,7 @@ def matrix_pls_fit(
             f"(last delta {trace.deltas[-1]:.3e})",
             trace=trace,
         )
-    state = WeightState(
-        raw=stack.raw[0],
-        standardized=stack.standardized[0],
-        iterations=trace.iterations,
-        delta=trace.deltas[-1],
-    )
+    state = WeightState(raw=stack.raw[0], standardized=stack.standardized[0])
     return MatrixPLSResult(
         weights=state, latent_correlations=stack.latent_correlations[0], trace=trace
     )
@@ -329,7 +322,6 @@ def score_based_pls_fit(
         )
     composite = z @ weights
     sw = weights / composite.std(axis=0, ddof=1)
-    state = WeightState(
-        raw=weights, standardized=sw, iterations=trace.iterations, delta=trace.deltas[-1]
+    return ScorePLSResult(
+        weights=WeightState(raw=weights, standardized=sw), scores=z @ sw, trace=trace
     )
-    return ScorePLSResult(weights=state, scores=z @ sw, trace=trace)

@@ -113,10 +113,6 @@ class ContingencyTable:
             raise DataError("smoothing epsilon must be nonnegative")
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
     def smoothed(self) -> np.ndarray:
         return np.where(self.counts == 0, self.epsilon, self.counts)
 
@@ -190,8 +186,15 @@ def _thresholds_from_counts(counts, categories) -> ThresholdSet:
     cumulative = np.cumsum(counts) / counts.sum()
     cuts = std_normal_quantile(cumulative[:-1])
     cuts = np.clip(np.atleast_1d(cuts), -THRESHOLD_BOUND, THRESHOLD_BOUND)
-    if np.any(np.diff(cuts) <= 0):
-        raise DataError("thresholds not strictly increasing after clipping at +/-4")
+    ties = np.flatnonzero(np.diff(cuts) <= 0)
+    if ties.size:
+        # Cut i separates categories[i] and categories[i + 1].
+        i = int(ties[0])
+        low, mid, high = (int(c) for c in categories[i : i + 3])
+        raise DataError(
+            "thresholds not strictly increasing after clipping at +/-4: the cuts between "
+            f"codes {low}|{mid} and {mid}|{high} both clip to {cuts[i]:+g}"
+        )
     return ThresholdSet(cuts=cuts, categories=tuple(int(c) for c in categories))
 
 

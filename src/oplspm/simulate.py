@@ -106,8 +106,6 @@ class SimulationConfig:
     sample_size: int = 250
     seed: int = 0
     epsilon: float = 0.0
-    tol: float = 1e-7
-    max_iter: int = 300
 
     def __post_init__(self):
         if self.latent_law not in ("normal", "beta"):
@@ -338,13 +336,9 @@ def run_study(config: SimulationConfig) -> BiasReport:
         rng = np.random.default_rng([config.seed, rep])
         try:
             data, _ = generate_dataset(config, rng)
-            fit_p = fit_correlation_model(
-                pearson_matrix(data), model, mode="pls", tol=config.tol, max_iter=config.max_iter
-            )
+            fit_p = fit_correlation_model(pearson_matrix(data), model, mode="pls")
             sigma_poly, _ = polychoric_matrix(data, epsilon=config.epsilon)
-            fit_o = fit_correlation_model(
-                sigma_poly, model, mode="opls", tol=config.tol, max_iter=config.max_iter
-            )
+            fit_o = fit_correlation_model(sigma_poly, model, mode="opls")
         except (DataError, ConvergenceError, EstimationError) as exc:
             failures.append({"replication": rep, "error": str(exc)})
             continue

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -348,3 +349,63 @@ class TestOutputFormat:
         for path in files:
             legacy = tmp_path / "legacy" / path.relative_to(tmp_path / "plain")
             assert path.read_bytes() == legacy.read_bytes(), path.name
+
+
+class TestOutputContract:
+    COMMANDS = {
+        "fit": lambda m, d: ["fit", *m, *d, "--mode", "opls", "--bootstrap", "3"],
+        "polychoric": lambda m, d: ["polychoric", *d, "--repair-pd"],
+        "predict-scores": lambda m, d: ["predict-scores", *m, *d, "--coherency"],
+        "simulate": lambda m, d: ["simulate", "--reps", "2", "--n", "120", "--seed", "1"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_manifest_lists_every_csv_with_its_checksum(self, tmp_path, rng, command):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        out = tmp_path / "out"
+        argv = self.COMMANDS[command](["--model", str(model_path)], ["--data", str(data_path)])
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs and sorted(p.name for p in out.iterdir()) == sorted(
+            [p.name for p in csvs] + ["manifest.json"]
+        )
+        assert manifest["outputs"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in csvs
+        }
+
+    def test_failing_run_writes_nothing(self, tmp_path, rng, capsys):
+        _, _, model_path, _ = write_inputs(tmp_path, rng)
+        path = tmp_path / "interval.csv"
+        path.write_text("x1,x2,y1,y2\n1.5,2,3,4\n2,3,4,1\n3,4,1,2\n")
+        out = tmp_path / "out"
+        code = main(["predict-scores", "--model", str(model_path), "--data", str(path),
+                     "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_unwritable_out_is_input_error(self, tmp_path, rng, capsys):
+        _, _, _, data_path = write_inputs(tmp_path, rng)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        out = blocker / "sub"
+        assert main(["polychoric", "--data", str(data_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to '{out}'")
+        # the directory exists, but a table cannot be written into it
+        out = tmp_path / "taken"
+        (out / "thresholds.csv").mkdir(parents=True)
+        assert main(["polychoric", "--data", str(data_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write outputs to '{out}'")
+
+    @pytest.mark.parametrize("n_boot", ["-3", "1"])
+    def test_bootstrap_below_two_is_input_error(self, tmp_path, rng, capsys, n_boot):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        out = tmp_path / "out"
+        code = main(["fit", "--model", str(model_path), "--data", str(data_path),
+                     "--bootstrap", n_boot, "--out", str(out)])
+        assert code == 2
+        assert f"n_boot must be at least 2, got {n_boot}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

@@ -275,6 +275,29 @@ class TestBootstrap:
         with pytest.raises(TypeError, match="bad argument"):
             bootstrap_inner(data, model, mode="opls", n_boot=5, seed=4)
 
+    @pytest.mark.parametrize("n_boot", [-3, 0, 1])
+    def test_fewer_than_two_replicates_rejected(self, rng, n_boot):
+        model = chain_model()
+        data = factor_dataset(model, rng, n=40)
+        with pytest.raises(EstimationError, match=f"n_boot must be at least 2, got {n_boot}"):
+            bootstrap_inner(data, model, mode="pls", n_boot=n_boot)
+
+    def test_fewer_than_two_successes_rejected(self, rng, monkeypatch):
+        model = chain_model()
+        data = ordinal_dataset(model, rng, n=80)
+        real_replicate = estimation._count_polychoric
+        calls = []
+
+        def all_but_first_fail(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise EstimationError("singular")
+            return real_replicate(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_count_polychoric", all_but_first_fail)
+        with pytest.raises(EstimationError, match="1 of 4 bootstrap replicates succeeded"):
+            bootstrap_inner(data, model, mode="opls", n_boot=4, seed=4)
+
     def test_path_names_follow_fit_order(self, rng):
         model = chain_model()
         data = factor_dataset(model, rng, n=80)

@@ -259,6 +259,19 @@ class TestThresholds:
         with pytest.raises(DataError, match="strictly increasing"):
             estimate_thresholds(np.repeat([1, 2, 3], [1, 1, 999_998]))
 
+    def test_clipping_tie_names_column_and_codes(self, rng):
+        # 1e5 rows, two single-respondent top categories: the cuts above
+        # codes 2 and 3 both clip to +4
+        column = np.repeat([1, 2, 3, 4], [50_000, 49_998, 1, 1])
+        other = rng.integers(1, 4, size=column.size)
+        data = DataMatrix(np.column_stack([column, other]), ("a", "b"), ("ordinal", "ordinal"))
+        with pytest.raises(DataError) as exc:
+            polychoric_matrix(data)
+        assert str(exc.value) == (
+            "column 'a': thresholds not strictly increasing after clipping at +/-4: "
+            "the cuts between codes 2|3 and 3|4 both clip to +4"
+        )
+
     def test_single_category_error(self):
         with pytest.raises(DataError, match="single observed category"):
             estimate_thresholds(np.ones(10, dtype=int))
