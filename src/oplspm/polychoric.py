@@ -47,6 +47,11 @@ _MAX_ITER = 100
 # A pair's Newton refinement stops at the first step shorter than this.
 _XATOL = 1e-8
 _NOT_CONVERGED = f"polychoric optimizer failed: no convergence in {_MAX_ITER} iterations"
+# A bound is checked exactly only where the closed-form ceiling on its
+# loglikelihood, with each cell's cap raised by the margin, is not below the
+# interior loglikelihood less this share of it (summation rounding).
+_CEILING_MARGIN = 1e-12
+_CEILING_SLACK = 1e-10
 # Bytes of one row chunk of the one-hot code matrix in the count pass.
 _CHUNK_BYTES = 1 << 23
 
@@ -222,6 +227,15 @@ def _check_table(table: ContingencyTable, thresholds_h: ThresholdSet, thresholds
         raise DataError("degenerate table: all mass in one row or column")
 
 
+def _padded_limits(cuts, size):
+    """Each pair's category limits -inf, cuts, +inf, padded with +inf to ``size`` + 1 entries."""
+    limits = np.full((len(cuts), size + 1), np.inf)
+    limits[:, 0] = -np.inf
+    for p, c in enumerate(cuts):
+        limits[p, 1 : 1 + c.size] = c
+    return limits
+
+
 def _solve_pairs(weights, cuts_h, cuts_k):
     """Two-step ML correlation of many pair tables at once.
 
@@ -239,17 +253,15 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     that leaves it, meets a curvature that is not negative or does not
     halve the step before last bisects instead, and a point with a floored
     observed cell shrinks it toward the last point without one. A bound the
-    final bracket still reaches is kept when its loglikelihood is higher.
+    final bracket still reaches is evaluated only where a closed-form
+    ceiling on its loglikelihood (``_bound_ceiling``) does not rule it out,
+    and kept when its loglikelihood is higher; a ruled-out bound could not
+    have won, so skipping it changes no result.
 
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
     n, rows, cols = weights.shape
-    lim_h = np.full((n, rows + 1), np.inf)
-    lim_k = np.full((n, cols + 1), np.inf)
-    lim_h[:, 0] = lim_k[:, 0] = -np.inf
-    for p, (ch, ck) in enumerate(zip(cuts_h, cuts_k)):
-        lim_h[p, 1 : 1 + ch.size] = ch
-        lim_k[p, 1 : 1 + ck.size] = ck
+    lim_h, lim_k = _padded_limits(cuts_h, rows), _padded_limits(cuts_k, cols)
 
     # CDF corners on an infinite limit are marginals fixed by the
     # thresholds; only the finite interior corners depend on rho.
@@ -320,11 +332,38 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         active[idx[~moving]] = False
 
     for bound, reaches in ((-RHO_BOUND, lo == -RHO_BOUND), (RHO_BOUND, hi == RHO_BOUND)):
-        at_bound = np.full(n, -np.inf)
-        at_bound[reaches] = evaluate(reaches, bound, derivatives=False)
-        wins = at_bound > loglik
-        best[wins], loglik[wins] = bound, at_bound[wins]
+        idx = np.flatnonzero(reaches)
+        ceiling = _bound_ceiling(weights[idx], lim_h[idx], lim_k[idx], bound)
+        reaches[idx] = ceiling >= loglik[idx] - _CEILING_SLACK * np.abs(loglik[idx])
+        if reaches.any():
+            at_bound = np.full(n, -np.inf)
+            at_bound[reaches] = evaluate(reaches, bound, derivatives=False)
+            wins = at_bound > loglik
+            best[wins], loglik[wins] = bound, at_bound[wins]
     return best, loglik, ~active
+
+
+def _bound_ceiling(weights, lim_h, lim_k, bound):
+    """An upper bound on each pair's floored loglikelihood at rho = ``bound`` (+/-0.999).
+
+    Cell (i, j) spans rows (a, b] and columns (c, d]. At rho = +0.999,
+    X - Y ~ N(0, s^2) with s = sqrt(2 (1 - 0.999)), and X - Y lies in
+    (a - d, b - c] on the cell, so its probability is at most
+    Phi((b - c) / s) and Phi((d - a) / s) as well as its row and column
+    marginals; at -0.999, X + Y lies in (a + c, b + d] and gives
+    Phi((b + d) / s) and Phi(-(a + c) / s). Each cell's cap gets
+    ``_CEILING_MARGIN`` added, far above the BVN's error of about 1e-15, so
+    it also caps the computed probability and, being above the floor, its
+    floored value.
+    """
+    a, b = lim_h[:, :-1, None], lim_h[:, 1:, None]
+    c, d = lim_k[:, None, :-1], lim_k[:, None, 1:]
+    s = np.sqrt(2.0 * (1.0 - RHO_BOUND))
+    # a padded cell's inf - inf gives nan, which fmin passes over for its zero marginal
+    with np.errstate(invalid="ignore"):
+        upper, lower = (b - c, d - a) if bound > 0 else (b + d, -(a + c))
+    cap = np.fmin(np.fmin(ndtr(upper / s), ndtr(lower / s)), np.minimum(ndtr(b) - ndtr(a), ndtr(d) - ndtr(c)))
+    return np.sum(weights * np.log(cap + _CEILING_MARGIN), axis=(1, 2))
 
 
 def polychoric_pair(
@@ -333,10 +372,12 @@ def polychoric_pair(
     """Maximize the table loglikelihood over the correlation alone.
 
     Safeguarded Newton steps start at the table's index correlation and
-    stop at the first step below 1e-8 inside [-0.999, 0.999]; a bound the
-    search still reaches is kept when it fits better, so perfectly
-    concordant tables return exactly the bound. This is the one-pair case
-    of the solver ``polychoric_matrix`` runs on all pairs at once.
+    stop at the first step below 1e-8 inside [-0.999, 0.999]. A bound the
+    search still reaches is checked only when a closed-form ceiling on its
+    loglikelihood shows it might fit better, and kept when it does, so
+    perfectly concordant tables return exactly the bound. This is the
+    one-pair case of the solver ``polychoric_matrix`` runs on all pairs at
+    once.
 
     Raises
     ------

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from oplspm.model import DataMatrix, build_model
+from oplspm.model import DataMatrix, build_model, parse_model
 
 ECSI_MODEL = """
 model mobile-phone
@@ -34,6 +35,39 @@ path image -> loyalty
 path satisfaction -> loyalty
 path complaints -> loyalty
 """
+
+
+# Block sizes and structural coefficients (target <- source: coefficient) of
+# ECSI_MODEL's latents, in the order it declares them.
+ECSI_BLOCKS = (5, 3, 7, 2, 3, 1, 3)
+ECSI_PATHS = {
+    1: {0: 0.6},
+    2: {1: 0.7},
+    3: {1: 0.3, 2: 0.5},
+    4: {0: 0.2, 1: 0.1, 2: 0.3, 3: 0.3},
+    5: {4: 0.5},
+    6: {0: 0.3, 4: 0.4, 5: 0.1},
+}
+# Cumulative shares of the first nine of ten categories, skewed to the top
+# as satisfaction surveys are.
+ECSI_SHARES = (0.02, 0.05, 0.10, 0.18, 0.30, 0.45, 0.63, 0.80, 0.92)
+
+
+def ecsi_dataset(rng, n=250):
+    """N x 24 ten-point codes from ECSI_MODEL's path structure, loadings 0.7 to 0.9."""
+    latents = rng.standard_normal((n, len(ECSI_BLOCKS)))
+    for target, sources in ECSI_PATHS.items():
+        for source, coef in sources.items():
+            latents[:, target] += coef * latents[:, source]
+    latents = (latents - latents.mean(axis=0)) / latents.std(axis=0)
+    cuts = ndtri(ECSI_SHARES)
+    cols = []
+    for j, size in enumerate(ECSI_BLOCKS):
+        for lam in np.linspace(0.7, 0.9, size):
+            x = lam * latents[:, j] + np.sqrt(1.0 - lam * lam) * rng.standard_normal(n)
+            cols.append(np.searchsorted(cuts, x) + 1.0)
+    names = parse_model(ECSI_MODEL).indicator_names
+    return DataMatrix(np.column_stack(cols), names, ("ordinal",) * len(names))
 
 
 def random_recursive_model(rng, n_latents=None, max_indicators=5):

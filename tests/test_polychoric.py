@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr, ndtri
 
-from conftest import random_recursive_model, ordinal_dataset
+from conftest import ecsi_dataset, random_recursive_model, ordinal_dataset
 from oplspm import polychoric
 from oplspm.distributions import _bvn_cdf_finite, _bvn_pdf_drho
 from oplspm.errors import ConvergenceError, DataError
@@ -63,13 +63,17 @@ def factor_codes(seed, k, n):
     return DataMatrix(np.column_stack(columns).astype(float), names, ("ordinal",) * k)
 
 
+def floored_loglik(table, ts_h, ts_k, rho):
+    """The floored table loglikelihood at rho, from ``cell_probabilities``."""
+    probs = cell_probabilities(ts_h, ts_k, rho)
+    return float(np.sum(table.smoothed() * np.log(np.maximum(probs, _LOG_FLOOR))))
+
+
 def grid_search(table, ts_h, ts_k, n_grid=2001):
     """Independent dense-grid oracle for the pair maximizer."""
-    smoothed = table.smoothed()
     best_rho, best_ll = None, -np.inf
     for rho in np.linspace(-RHO_BOUND, RHO_BOUND, n_grid):
-        probs = cell_probabilities(ts_h, ts_k, rho)
-        ll = float(np.sum(smoothed * np.log(np.maximum(probs, 1e-300))))
+        ll = floored_loglik(table, ts_h, ts_k, rho)
         if ll > best_ll:
             best_rho, best_ll = rho, ll
     return best_rho, best_ll
@@ -77,11 +81,9 @@ def grid_search(table, ts_h, ts_k, n_grid=2001):
 
 def brent_oracle(table, ts_h, ts_k):
     """The pair solver before batching: 21-point scan, then bounded Brent."""
-    smoothed = table.smoothed()
 
     def loglik(rho):
-        probs = cell_probabilities(ts_h, ts_k, rho)
-        return float(np.sum(smoothed * np.log(np.maximum(probs, 1e-300))))
+        return floored_loglik(table, ts_h, ts_k, rho)
 
     scan = np.linspace(-RHO_BOUND, RHO_BOUND, 21)
     best = int(np.argmax([loglik(r) for r in scan]))
@@ -219,6 +221,33 @@ def sparse_table(seed, epsilon):
     ts_h = polychoric._thresholds_from_counts(counts.sum(axis=1), np.arange(1, ih + 1))
     ts_k = polychoric._thresholds_from_counts(counts.sum(axis=0), np.arange(1, ik + 1))
     return ContingencyTable(counts.astype(float), epsilon=epsilon), ts_h, ts_k
+
+
+def staircase(rng, shape):
+    """Counts on a monotone staircase through a table of ``shape``: a concordant table."""
+    ih, ik = shape
+    steps = max(ih, ik)
+    counts = np.zeros(shape)
+    counts[np.arange(steps) * ih // steps, np.arange(steps) * ik // steps] = rng.integers(1, 30, size=steps)
+    return counts
+
+
+def screen_table(seed, kind):
+    """A pair table of one kind and its two-step thresholds.
+
+    "sparse" and "smoothed" are ``sparse_table`` at eps 0 and 0.5; "concordant"
+    and "anti" are a staircase and its column-reversed mirror at eps 0.
+    """
+    if kind in ("sparse", "smoothed"):
+        return sparse_table(seed, 0.0 if kind == "sparse" else 0.5)
+    rng = np.random.default_rng(seed)
+    counts = staircase(rng, tuple(rng.integers(2, 8, 2)))
+    if kind == "anti":
+        counts = counts[:, ::-1].copy()
+    ih, ik = counts.shape
+    ts_h = polychoric._thresholds_from_counts(counts.sum(axis=1), np.arange(1, ih + 1))
+    ts_k = polychoric._thresholds_from_counts(counts.sum(axis=0), np.arange(1, ik + 1))
+    return ContingencyTable(counts, epsilon=0.0), ts_h, ts_k
 
 
 def pair_tables(data, thresholds, epsilon):
@@ -602,9 +631,7 @@ class TestScanOracleAgreement:
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 6), (7, 3)])
     def test_concordant_tables_at_bound(self, rng, shape):
         ih, ik = shape
-        steps = max(ih, ik)
-        counts = np.zeros(shape)
-        counts[np.arange(steps) * ih // steps, np.arange(steps) * ik // steps] = rng.integers(1, 30, size=steps)
+        counts = staircase(rng, shape)
         for sign, table in ((1.0, counts), (-1.0, counts[:, ::-1].copy())):
             ts_h = polychoric._thresholds_from_counts(table.sum(axis=1), np.arange(1, ih + 1))
             ts_k = polychoric._thresholds_from_counts(table.sum(axis=0), np.arange(1, ik + 1))
@@ -626,6 +653,73 @@ class TestScanOracleAgreement:
             return polychoric._count_polychoric(codes, categories, data.columns, 0.5, counts)[0]
 
         assert oracle_gap(monkeypatch, replicate) <= 1e-6
+
+
+class TestBoundScreen:
+    """A bound the final bracket reaches is evaluated only where its closed-form ceiling might win."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2**32 - 1), st.sampled_from(["sparse", "smoothed", "concordant", "anti"])),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ceiling_bounds_the_exact_loglikelihood(self, draws):
+        fits = [screen_table(seed, kind) for seed, kind in draws]
+        rows = max(table.counts.shape[0] for table, _, _ in fits)
+        cols = max(table.counts.shape[1] for table, _, _ in fits)
+        weights = np.zeros((len(fits), rows, cols))
+        for p, (table, _, _) in enumerate(fits):
+            weights[p, : table.counts.shape[0], : table.counts.shape[1]] = table.smoothed()
+        cuts_h = [ts_h.cuts for _, ts_h, _ in fits]
+        cuts_k = [ts_k.cuts for _, _, ts_k in fits]
+        lim_h, lim_k = polychoric._padded_limits(cuts_h, rows), polychoric._padded_limits(cuts_k, cols)
+        _, loglik, _ = polychoric._solve_pairs(weights, cuts_h, cuts_k)
+        for bound in (-RHO_BOUND, RHO_BOUND):
+            ceiling = polychoric._bound_ceiling(weights, lim_h, lim_k, bound)
+            exact = np.array([floored_loglik(*fit, bound) for fit in fits])
+            assert np.all(ceiling >= exact)
+            # the solver's own evaluation and cell_probabilities round differently
+            assert np.all(exact <= loglik + 1e-9 * np.abs(loglik))
+
+    @staticmethod
+    def record_bound_work(monkeypatch):
+        """Record the correlations of every BVN call and the pairs screened at each bound."""
+        calls, screened = [], []
+        bvn, ceiling = polychoric._bvn_cdf_finite, polychoric._bound_ceiling
+
+        def record_bvn(h, k, rho):
+            calls.append((h.size, np.abs(rho)))
+            return bvn(h, k, rho)
+
+        def record_ceiling(weights, lim_h, lim_k, bound):
+            screened.append((bound, weights.shape[0]))
+            return ceiling(weights, lim_h, lim_k, bound)
+
+        monkeypatch.setattr(polychoric, "_bvn_cdf_finite", record_bvn)
+        monkeypatch.setattr(polychoric, "_bound_ceiling", record_ceiling)
+        return calls, screened
+
+    def test_survey_sample_evaluates_no_bound(self, monkeypatch):
+        # 250 x 24 ten-point codes at eps 0.5, as a bootstrap of a survey fit solves
+        data = ecsi_dataset(np.random.default_rng(ACCEPTANCE_SEED))
+        calls, screened = self.record_bound_work(monkeypatch)
+        polychoric_matrix(data, epsilon=0.5)
+        assert dict(screened)[-RHO_BOUND] >= 200  # most of the 276 pairs reach -0.999
+        assert min(size for size, _ in calls) > 0
+        assert sum(np.any(r == RHO_BOUND) for _, r in calls) == 0
+
+    def test_concordant_pair_is_evaluated_at_its_bound(self, monkeypatch, rng):
+        col = rng.integers(1, 5, size=200).astype(float)
+        other = rng.integers(1, 5, size=200).astype(float)
+        data = DataMatrix(np.column_stack([col, 5.0 - col, other]), ("a", "b", "c"), ("ordinal",) * 3)
+        calls, _ = self.record_bound_work(monkeypatch)
+        sigma, _ = polychoric_matrix(data, epsilon=0.0)
+        at_bound = [size for size, r in calls if np.ndim(r) == 0 and r == RHO_BOUND]
+        assert len(at_bound) == 1 and at_bound[0] > 0
+        assert sigma.values[0, 1] == -RHO_BOUND
 
 
 class TestSymmetries:
