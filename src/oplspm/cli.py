@@ -132,7 +132,7 @@ def cmd_fit(args):
         sigma, _ = polychoric_matrix(data, epsilon=args.epsilon, repair_pd=args.repair_pd)
     else:
         sigma = pearson_matrix(data)
-    fit = fit_correlation_model(sigma, model, mode=args.mode, tol=args.tol, max_iter=args.max_iter)
+    fit = fit_correlation_model(sigma, model, tol=args.tol, max_iter=args.max_iter)
     inner_header = ["target", "covariate", "estimate"]
     inner_rows = [
         [eq.target, cov, b]
@@ -207,7 +207,7 @@ def cmd_predict_scores(args):
     model = _load_model(args.model)
     data = _load_table(args.data, load_data, model=model, kinds="ordinal")
     sigma, thresholds = polychoric_matrix(data, epsilon=args.epsilon, repair_pd=args.repair_pd)
-    fit = fit_correlation_model(sigma, model, mode="opls", tol=args.tol, max_iter=args.max_iter)
+    fit = fit_correlation_model(sigma, model, tol=args.tol, max_iter=args.max_iter)
     weights = fit.weights.standardized
     lt = latent_thresholds(thresholds, weights, model)
     predicted = predict_categories(data, lt, thresholds, weights, model, rule=args.rule)
@@ -219,7 +219,7 @@ def cmd_predict_scores(args):
         ),
     }
     if args.coherency:
-        pls_fit = fit_correlation_model(pearson_matrix(data), model, mode="pls",
+        pls_fit = fit_correlation_model(pearson_matrix(data), model,
                                         tol=args.tol, max_iter=args.max_iter)
         raw = raw_scale_scores(data, pls_fit.weights.raw)
         # Held through the other rules' predictions, so as small an integer as fits.

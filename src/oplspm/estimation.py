@@ -196,17 +196,14 @@ def dillon_goldstein_rho(loadings) -> float:
 def fit_correlation_model(
     sigma_xx: CorrelationMatrix,
     model: PathModel,
-    mode: str | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FitResult:
     """Run the matrix engine and the full ending phase on one matrix.
 
-    ``mode`` defaults from the matrix kind: "pls" for Pearson input,
+    The fit's ``mode`` follows the matrix kind: "pls" for Pearson input,
     "opls" for polychoric input.
     """
-    if mode is None:
-        mode = "opls" if sigma_xx.kind == "polychoric" else "pls"
     engine = matrix_pls_fit(sigma_xx, model, tol=tol, max_iter=max_iter)
     sigma = sigma_xx.values
     sigma_xy = sigma @ engine.weights.standardized
@@ -227,7 +224,7 @@ def fit_correlation_model(
             )
         )
     return FitResult(
-        mode=mode,
+        mode="opls" if sigma_xx.kind == "polychoric" else "pls",
         model=model,
         weights=engine.weights,
         latent_correlations=engine.latent_correlations,

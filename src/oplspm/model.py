@@ -398,17 +398,14 @@ def _infer_kind(col: np.ndarray) -> str:
 def _resolve_kinds(header, values, kinds):
     if kinds is None:
         return tuple(_infer_kind(values[:, j]) for j in range(len(header)))
-    if isinstance(kinds, str):
-        return tuple([kinds] * len(header))
-    return tuple(kinds.get(name, _infer_kind(values[:, header.index(name)])) for name in header)
+    return tuple([kinds] * len(header))
 
 
 def load_csv(source, kinds=None) -> DataMatrix:
     """Load a header+rows CSV without a model (column order as given).
 
     ``kinds`` may be None (infer per column: integer codes >= 1 become
-    ordinal), a single kind applied to all columns, or a mapping from
-    column name to kind.
+    ordinal) or a single kind applied to all columns.
     """
     header, values = _read_values(source)
     return DataMatrix(values=values, columns=tuple(header), kinds=_resolve_kinds(header, values, kinds))

@@ -262,6 +262,16 @@ def _standardize_columns(matrix, what):
     return matrix / sd
 
 
+def _standardized_indicators(data: DataMatrix) -> np.ndarray:
+    """The data's columns centered and scaled to unit sample (ddof=1) variance."""
+    centered = data.values - data.values.mean(axis=0)
+    sd = centered.std(axis=0, ddof=1)
+    if np.any(sd == 0.0):
+        j = int(np.argmin(sd))
+        raise DataError(f"zero-variance indicator '{data.columns[j]}'")
+    return centered / sd
+
+
 def score_based_pls_fit(
     data: DataMatrix,
     model: PathModel,
@@ -278,14 +288,8 @@ def score_based_pls_fit(
         raise DataError("score-based PLS requires interval data; use the matrix engine instead")
     if data.columns != model.indicator_names:
         raise DataError("data columns do not match the model's indicator order")
-    x = data.values
     n = data.n_rows
-    centered = x - x.mean(axis=0)
-    sd = centered.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        j = int(np.argmin(sd))
-        raise DataError(f"zero-variance indicator '{data.columns[j]}'")
-    z = centered / sd
+    z = _standardized_indicators(data)
 
     chi = model.weight_pattern()
     t_sym = model.inner_adjacency + model.inner_adjacency.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _bvn_cdf_finite, _bvn_pdf_drho, bvn_cdf, std_normal_quantile
+from .distributions import _bvn_cdf_finite, _bvn_cdf_infinite, _bvn_pdf_drho, bvn_cdf, std_normal_quantile
 from .errors import ConvergenceError, DataError
 from .model import DataMatrix
 
@@ -54,6 +54,9 @@ _CEILING_MARGIN = 1e-12
 _CEILING_SLACK = 1e-10
 # Bytes of one row chunk of the one-hot code matrix in the count pass.
 _CHUNK_BYTES = 1 << 23
+# nearest_pd_repair's eigenvalue floor and its cap on clip-and-renormalize passes.
+_REPAIR_MIN_EIGENVALUE = 1e-8
+_REPAIR_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -146,10 +149,6 @@ class CorrelationMatrix:
         if repair:
             return nearest_pd_repair(cls(values=values, kind=kind, pd_status="failed"))
         return cls(values=values, kind=kind, pd_status="failed")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.values).min())
@@ -244,7 +243,9 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     corner grid: ``weights`` is stacked at the largest table shape with
     zero counts in the padded cells, and padded limits are +inf, so they
     add exactly 0 to the loglikelihood and its derivatives, and a pair's
-    result does not depend on which pairs share its batch.
+    result does not depend on which pairs share its batch, up to summation
+    rounding: a different padded shape reorders the sums, which can move
+    rho by about 1e-15.
 
     Each pair starts cold at the Pearson correlation of its category
     indices under its own table. Newton steps on the analytic score
@@ -266,8 +267,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     # CDF corners on an infinite limit are marginals fixed by the
     # thresholds; only the finite interior corners depend on rho.
     grid_h, grid_k = np.broadcast_arrays(lim_h[:, :, None], lim_k[:, None, :])
-    finite = np.isfinite(grid_h) & np.isfinite(grid_k)
-    fixed = np.where(np.isposinf(grid_h), ndtr(grid_k), np.where(np.isposinf(grid_k), ndtr(grid_h), 0.0))
+    fixed, finite = _bvn_cdf_infinite(grid_h, grid_k)
     corner_h, corner_k = grid_h[finite], grid_k[finite]
     owner = np.nonzero(finite)[0]
 
@@ -599,7 +599,7 @@ def _positive_definite(values) -> np.ndarray:
     return np.linalg.eigvalsh(values).min(axis=-1) > _PD_TOL
 
 
-def nearest_pd_repair(matrix, min_eigenvalue: float = 1e-8, max_iter: int = 200) -> CorrelationMatrix:
+def nearest_pd_repair(matrix) -> CorrelationMatrix:
     """Project a symmetric matrix to a nearby unit-diagonal PD matrix.
 
     Alternates eigenvalue clipping with diagonal renormalization; if the
@@ -608,23 +608,23 @@ def nearest_pd_repair(matrix, min_eigenvalue: float = 1e-8, max_iter: int = 200)
     """
     if isinstance(matrix, CorrelationMatrix):
         values, kind = matrix.values, matrix.kind
-        if matrix.pd_status != "failed" and np.linalg.eigvalsh(values).min() >= min_eigenvalue:
+        if matrix.pd_status != "failed" and np.linalg.eigvalsh(values).min() >= _REPAIR_MIN_EIGENVALUE:
             return matrix
     else:
         values, kind = np.asarray(matrix, dtype=float), "pearson"
     a = 0.5 * (values + values.T)
-    for _ in range(max_iter):
+    for _ in range(_REPAIR_MAX_ITER):
         eigval, eigvec = np.linalg.eigh(a)
-        if eigval.min() >= min_eigenvalue:
+        if eigval.min() >= _REPAIR_MIN_EIGENVALUE:
             break
-        eigval = np.maximum(eigval, min_eigenvalue)
+        eigval = np.maximum(eigval, _REPAIR_MIN_EIGENVALUE)
         a = (eigvec * eigval) @ eigvec.T
         a = 0.5 * (a + a.T)
         a = np.clip(a, -1.0, 1.0)
         np.fill_diagonal(a, 1.0)
     lam = np.linalg.eigvalsh(a).min()
-    if lam < min_eigenvalue:
-        delta = (min_eigenvalue - lam) / (1.0 - lam)
+    if lam < _REPAIR_MIN_EIGENVALUE:
+        delta = (_REPAIR_MIN_EIGENVALUE - lam) / (1.0 - lam)
         a = (1.0 - delta) * a + delta * np.eye(a.shape[0])
         np.fill_diagonal(a, 1.0)
     return CorrelationMatrix(values=a, kind=kind, pd_status="repaired")

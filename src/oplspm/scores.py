@@ -18,6 +18,7 @@ from scipy.special import ndtr
 from .distributions import truncated_normal_mean, truncated_normal_median
 from .errors import DataError
 from .model import DataMatrix, PathModel
+from .pls import _standardized_indicators
 from .polychoric import THRESHOLD_BOUND, ThresholdSet
 
 __all__ = [
@@ -58,13 +59,7 @@ def direct_scores(data: DataMatrix, standardizing_weights: np.ndarray) -> np.nda
     With weights converged on this dataset's correlation matrix the score
     columns have mean 0 and unit sample variance.
     """
-    x = data.values
-    centered = x - x.mean(axis=0)
-    sd = centered.std(axis=0, ddof=1)
-    if np.any(sd == 0.0):
-        j = int(np.argmin(sd))
-        raise DataError(f"zero-variance indicator '{data.columns[j]}'")
-    return (centered / sd) @ standardizing_weights
+    return _standardized_indicators(data) @ standardizing_weights
 
 
 def raw_scale_scores(data: DataMatrix, raw_weights: np.ndarray) -> np.ndarray:

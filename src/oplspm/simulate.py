@@ -336,9 +336,9 @@ def run_study(config: SimulationConfig) -> BiasReport:
         rng = np.random.default_rng([config.seed, rep])
         try:
             data, _ = generate_dataset(config, rng)
-            fit_p = fit_correlation_model(pearson_matrix(data), model, mode="pls")
+            fit_p = fit_correlation_model(pearson_matrix(data), model)
             sigma_poly, _ = polychoric_matrix(data, epsilon=config.epsilon)
-            fit_o = fit_correlation_model(sigma_poly, model, mode="opls")
+            fit_o = fit_correlation_model(sigma_poly, model)
         except (DataError, ConvergenceError, EstimationError) as exc:
             failures.append({"replication": rep, "error": str(exc)})
             continue

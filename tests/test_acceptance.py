@@ -198,7 +198,7 @@ def test_criterion_07_negative_pls_bias():
 
 def _fit_opls_with_thresholds(data, model):
     sigma, thresholds = polychoric_matrix(data)
-    fit = fit_correlation_model(sigma, model, mode="opls")
+    fit = fit_correlation_model(sigma, model)
     lt = latent_thresholds(thresholds, fit.weights.standardized, model)
     return fit, thresholds, lt
 
@@ -248,8 +248,8 @@ MOBILE_CSV = os.environ.get(
 def test_criterion_09_mobile_phone_reproduction():
     model = parse_model(ECSI_MODEL)
     data = load_data(MOBILE_CSV, model, kinds="ordinal")
-    pls = fit_correlation_model(pearson_matrix(data), model, mode="pls")
-    opls = fit_correlation_model(polychoric_matrix(data)[0], model, mode="opls")
+    pls = fit_correlation_model(pearson_matrix(data), model)
+    opls = fit_correlation_model(polychoric_matrix(data)[0], model)
     b21_pls = pls.inner_coefficient("expectations", "image")
     b53_pls = pls.inner_coefficient("satisfaction", "quality")
     b21_opls = opls.inner_coefficient("expectations", "image")

@@ -51,7 +51,7 @@ class TestFitCommand:
              "--mode", "pls", "--out", str(out)]
         )
         assert code == 0
-        expected = fit_correlation_model(pearson_matrix(data), model, mode="pls")
+        expected = fit_correlation_model(pearson_matrix(data), model)
         rows = read_rows(out / "inner_coefficients.csv")
         assert len(rows) == 1
         assert float(rows[0]["estimate"]) == pytest.approx(
@@ -307,7 +307,7 @@ class TestOutputFormat:
         ) == 0
         data = load_data(data_path, model, kinds="ordinal")
         sigma, thresholds = polychoric_matrix(data)
-        fit = fit_correlation_model(sigma, model, mode="opls")
+        fit = fit_correlation_model(sigma, model)
         lt = latent_thresholds(thresholds, fit.weights.standardized, model)
         predicted = predict_categories(
             data, lt, thresholds, fit.weights.standardized, model, rule="median"

@@ -15,7 +15,7 @@ from oplspm.distributions import (
     truncated_normal_mean,
     truncated_normal_median,
 )
-from oplspm.distributions import _bvn_cdf_finite
+from oplspm.distributions import _BRANCHES, _TIER_EDGES, _bvn_cdf_finite
 
 mp.mp.dps = 40
 
@@ -113,9 +113,39 @@ class TestBvnCdf:
             assert abs(bvn_cdf(0.0, 0.0, rho) - want) < 1e-9
 
     def test_marginalization_at_infinity(self):
-        assert bvn_cdf(np.inf, 0.7, 0.5) == pytest.approx(std_normal_cdf(0.7), abs=1e-15)
-        assert bvn_cdf(-1.2, np.inf, -0.3) == pytest.approx(std_normal_cdf(-1.2), abs=1e-15)
-        assert bvn_cdf(-np.inf, 0.7, 0.5) == 0.0
+        # +inf leaves the other limit's margin and any -inf gives 0, exactly,
+        # whether the corner is alone or shares an array with finite ones.
+        inf = np.inf
+        corners = [
+            (inf, 0.7, std_normal_cdf(0.7)),
+            (-1.2, inf, std_normal_cdf(-1.2)),
+            (inf, inf, 1.0),
+            (-inf, 0.7, 0.0),
+            (-1.2, -inf, 0.0),
+            (-inf, -inf, 0.0),
+            (-inf, inf, 0.0),
+            (inf, -inf, 0.0),
+        ]
+        h, k, want = (np.array(c) for c in zip(*corners))
+        for rho in (0.1, -0.5, 0.8, 0.95, -0.999):
+            for hi, ki, wi in corners:
+                assert bvn_cdf(hi, ki, rho) == wi
+            out = bvn_cdf(np.append(h, -0.4), np.append(k, 1.1), rho)
+            assert np.array_equal(out[:-1], want)
+            assert out[-1] == bvn_cdf(-0.4, 1.1, rho)
+
+    def test_tiers_keep_their_rules(self):
+        assert np.array_equal(_TIER_EDGES, [0.3, 0.75, 0.925])
+        assert [len(nodes) for _, nodes in _BRANCHES] == [6, 12, 20, 20]
+
+    @pytest.mark.parametrize("tier", range(len(_BRANCHES)))
+    def test_rule_integrates_polynomials_exactly(self, tier):
+        # An n-point Gauss-Legendre rule on [0, 2] is exact for x^d, d <= 2n - 1,
+        # up to rounding: within 1e-14 of the integrand's largest value, 2^d.
+        nodes = _BRANCHES[tier][1]
+        for d in range(2 * len(nodes)):
+            got = math.fsum(w * x**d for x, w in nodes)
+            assert abs(got - 2.0 ** (d + 1) / (d + 1)) <= 1e-14 * 2.0**d
 
     def test_against_mpmath_oracle(self):
         for h, k, rho in ORACLE_POINTS:

@@ -331,7 +331,7 @@ def loop_bootstrap(data, model, mode, n_boot, seed, epsilon=0.5):
             sigma = loop_pearson(d)
         else:
             sigma, _ = polychoric_matrix(d, epsilon=epsilon)
-        return fit_correlation_model(sigma, model, mode=mode)
+        return fit_correlation_model(sigma, model)
 
     point = fit_once(data)
     names = [(eq.target, cov) for eq in point.inner for cov in eq.covariates]

@@ -20,7 +20,7 @@ from oplspm.scores import (
 
 def fit_opls(data, model):
     sigma, thresholds = polychoric_matrix(data)
-    fit = fit_correlation_model(sigma, model, mode="opls")
+    fit = fit_correlation_model(sigma, model)
     lt = latent_thresholds(thresholds, fit.weights.standardized, model)
     return fit, thresholds, lt
 
