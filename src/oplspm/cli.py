@@ -31,7 +31,8 @@ from .errors import ConvergenceError, DataError, ModelError, OplsError
 from .estimation import bootstrap_inner, fit_correlation_model
 from .model import load_csv, load_data, parse_model
 from .polychoric import pearson_matrix, polychoric_matrix
-from .scores import concordance_table, latent_thresholds, predict_categories, raw_scale_scores
+from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .scores import RULES, concordance_table, latent_thresholds, predict_categories, raw_scale_scores
 from .simulate import PERCENTILES, SimulationConfig, run_study
 
 EXIT_OK = 0
@@ -226,7 +227,7 @@ def cmd_predict_scores(args):
         counts = lt.category_counts
         rounded = np.clip(np.floor(raw + 0.5), 1, counts).astype(np.min_scalar_type(max(counts)))
         rows = []
-        for rule in ("mode", "median", "mean"):
+        for rule in RULES:
             pred = predicted if rule == args.rule else predict_categories(
                 data, lt, thresholds, weights, model, rule=rule
             )
@@ -282,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     fitting = argparse.ArgumentParser(add_help=False)
     fitting.add_argument("--model", required=True, help="model config file")
     fitting.add_argument("--data", required=True, help="CSV data file")
-    fitting.add_argument("--tol", type=float, default=1e-7)
-    fitting.add_argument("--max-iter", type=int, default=300)
+    fitting.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    fitting.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     smoothing = argparse.ArgumentParser(add_help=False)
     smoothing.add_argument("--epsilon", type=float, default=0.5,
                            help="zero-cell smoothing for polychoric tables")
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pred = sub.add_parser("predict-scores", parents=[fitting, smoothing, out],
                             help="threshold-based latent category prediction")
-    p_pred.add_argument("--rule", choices=["mode", "median", "mean"], default="mode")
+    p_pred.add_argument("--rule", choices=RULES, default="mode")
     p_pred.add_argument("--coherency", action="store_true",
                         help="also report concordance with rounded interval-scale scores")
     p_pred.set_defaults(func=cmd_predict_scores)

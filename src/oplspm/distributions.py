@@ -112,7 +112,7 @@ def _bvnu_near_singular(h, k, r, nodes):
     tail = hk > -100.0
     if np.any(tail):
         b = np.sqrt(bs[tail])
-        sp = _SQRT_2PI * ndtr(-b / np.broadcast_to(a, h.shape)[tail])
+        sp = _SQRT_2PI * ndtr(-b / a[tail])
         bvn[tail] -= (
             np.exp(-0.5 * hk[tail])
             * sp
@@ -149,14 +149,10 @@ _BRANCHES = (
 
 def _bvnu_finite(h, k, r):
     # Upper-orthant probability P(X > h, Y > k) for 1-D arrays of finite
-    # limits; r is one correlation or one per element, and each element
-    # takes the quadrature tier and branch of its own |r|.
-    r = np.asarray(r, dtype=float)
+    # limits; r is broadcast to one correlation per element, and each
+    # element takes the quadrature tier and branch of its own |r|.
+    r = np.broadcast_to(np.asarray(r, dtype=float), h.shape)
     tier = np.searchsorted(_TIER_EDGES, np.abs(r), side="right")
-    if r.ndim == 0:
-        branch, nodes = _BRANCHES[tier]
-        return branch(h, k, r, nodes)
-    r = np.broadcast_to(r, h.shape)
     out = np.empty(h.shape)
     for t, (branch, nodes) in enumerate(_BRANCHES):
         m = tier == t
@@ -177,7 +173,7 @@ def _bvn_cdf_infinite(h, k):
 
 def _bvn_cdf_finite(h, k, rho):
     # Low-overhead path for hot loops: 1-D float arrays of finite limits,
-    # rho (scalar or one per element) already validated by the caller.
+    # rho (broadcast to one per element) already validated by the caller.
     return np.clip(_bvnu_finite(-h, -k, rho), 0.0, 1.0)
 
 

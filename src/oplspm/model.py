@@ -52,7 +52,8 @@ class PathModel:
     ``T[j, k] = 1`` when latent k points at latent j; it is strictly lower
     triangular with all-zero rows for the exogenous latents. ``blocks[j]``
     holds the indicator names of latent j, and their concatenation fixes
-    the canonical column order for data and weight matrices.
+    the canonical column order for data and weight matrices. ``build_model``
+    constructs it and checks all of this.
     """
 
     name: str
@@ -60,33 +61,6 @@ class PathModel:
     exogenous_count: int
     inner_adjacency: np.ndarray
     blocks: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        t = self.inner_adjacency
-        n, total = self.exogenous_count, len(self.latent_names)
-        if t.shape != (total, total):
-            raise ModelError("inner adjacency shape does not match latent count")
-        if np.any((t != 0) & (t != 1)):
-            raise ModelError("inner adjacency must be a 0/1 matrix")
-        if np.any(np.triu(t) != 0):
-            raise ModelError("inner adjacency must be strictly lower triangular")
-        if np.any(t[:n, :] != 0):
-            raise ModelError("exogenous latents cannot have incoming paths")
-        if len(self.blocks) != total:
-            raise ModelError("every latent needs an indicator block")
-        seen = set()
-        for latent, block in zip(self.latent_names, self.blocks):
-            if not block:
-                raise ModelError(f"latent '{latent}' has an empty indicator block")
-            for ind in block:
-                if ind in seen:
-                    raise ModelError(f"indicator '{ind}' assigned to more than one block")
-                seen.add(ind)
-        for j in range(n, total):
-            if not np.any(t[j, :]):
-                raise ModelError(
-                    f"endogenous latent '{self.latent_names[j]}' has no incoming path"
-                )
 
     @property
     def endogenous_count(self) -> int:
@@ -176,6 +150,15 @@ def build_model(name, exogenous, endogenous, blocks, paths) -> PathModel:
         raise ModelError(f"indicators declared for unknown latent '{sorted(extra)[0]}'")
 
     ordered = exogenous + _toposort_endogenous(endogenous, paths)
+    seen = set()
+    for ind in chain.from_iterable(blocks[latent] for latent in ordered):
+        if ind in seen:
+            raise ModelError(f"indicator '{ind}' assigned to more than one block")
+        seen.add(ind)
+    targets = {dst for _, dst in paths}
+    unreached = [latent for latent in endogenous if latent not in targets]
+    if unreached:
+        raise ModelError(f"endogenous latent '{unreached[0]}' has no incoming path")
     index = {latent: i for i, latent in enumerate(ordered)}
     t = np.zeros((len(ordered), len(ordered)))
     for src, dst in paths:

@@ -56,8 +56,6 @@ class FitTrace:
     """Per-iteration weight-change record of one fit."""
 
     deltas: list[float] = field(default_factory=list)
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
     converged: bool = False
 
     @property
@@ -237,12 +235,7 @@ def matrix_pls_fit(
             f"'{model.latent_names[stack.singular[0]]}'"
         )
     deltas = stack.deltas[:, 0]
-    trace = FitTrace(
-        deltas=deltas[~np.isnan(deltas)].tolist(),
-        tol=tol,
-        max_iter=max_iter,
-        converged=bool(stack.converged[0]),
-    )
+    trace = FitTrace(deltas=deltas[~np.isnan(deltas)].tolist(), converged=bool(stack.converged[0]))
     if not trace.converged:
         raise ConvergenceError(
             f"matrix PLS did not converge in {max_iter} iterations "
@@ -293,7 +286,7 @@ def score_based_pls_fit(
 
     chi = model.weight_pattern()
     t_sym = model.inner_adjacency + model.inner_adjacency.T
-    trace = FitTrace(tol=tol, max_iter=max_iter)
+    trace = FitTrace()
     weights = initial_weights(model)
     scores = _standardize_columns(z @ (weights / weights.sum(axis=0)), "composite")
     for _ in range(max_iter):

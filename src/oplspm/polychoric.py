@@ -147,7 +147,7 @@ class CorrelationMatrix:
         if _positive_definite(values):
             return cls(values=values, kind=kind, pd_status="positive-definite")
         if repair:
-            return nearest_pd_repair(cls(values=values, kind=kind, pd_status="failed"))
+            return nearest_pd_repair(values, kind)
         return cls(values=values, kind=kind, pd_status="failed")
 
     def min_eigenvalue(self) -> float:
@@ -275,7 +275,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         # Loglikelihood (and score, curvature) of the active pairs at rho.
         sel = active[owner]
         h, k = corner_h[sel], corner_k[sel]
-        r = rho if np.ndim(rho) == 0 else rho[owner[sel]]
+        r = rho[owner[sel]]
         mask = finite[active]
         cdf = fixed[active]
         cdf[mask] = _bvn_cdf_finite(h, k, r)
@@ -337,7 +337,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         reaches[idx] = ceiling >= loglik[idx] - _CEILING_SLACK * np.abs(loglik[idx])
         if reaches.any():
             at_bound = np.full(n, -np.inf)
-            at_bound[reaches] = evaluate(reaches, bound, derivatives=False)
+            at_bound[reaches] = evaluate(reaches, np.full(n, bound), derivatives=False)
             wins = at_bound > loglik
             best[wins], loglik[wins] = bound, at_bound[wins]
     return best, loglik, ~active
@@ -599,19 +599,14 @@ def _positive_definite(values) -> np.ndarray:
     return np.linalg.eigvalsh(values).min(axis=-1) > _PD_TOL
 
 
-def nearest_pd_repair(matrix) -> CorrelationMatrix:
-    """Project a symmetric matrix to a nearby unit-diagonal PD matrix.
+def nearest_pd_repair(values, kind) -> CorrelationMatrix:
+    """Project a symmetric matrix to a nearby unit-diagonal PD matrix of the given kind.
 
     Alternates eigenvalue clipping with diagonal renormalization; if the
     iteration stalls, a final convex blend with the identity guarantees the
-    eigenvalue floor. Already-compliant inputs are returned unchanged.
+    eigenvalue floor. ``CorrelationMatrix.build`` calls it on a matrix that
+    failed its positive-definiteness test; the result is marked "repaired".
     """
-    if isinstance(matrix, CorrelationMatrix):
-        values, kind = matrix.values, matrix.kind
-        if matrix.pd_status != "failed" and np.linalg.eigvalsh(values).min() >= _REPAIR_MIN_EIGENVALUE:
-            return matrix
-    else:
-        values, kind = np.asarray(matrix, dtype=float), "pearson"
     a = 0.5 * (values + values.T)
     for _ in range(_REPAIR_MAX_ITER):
         eigval, eigvec = np.linalg.eigh(a)

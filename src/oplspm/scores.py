@@ -19,7 +19,7 @@ from .distributions import truncated_normal_mean, truncated_normal_median
 from .errors import DataError
 from .model import DataMatrix, PathModel
 from .pls import _standardized_indicators
-from .polychoric import THRESHOLD_BOUND, ThresholdSet
+from .polychoric import ThresholdSet
 
 __all__ = [
     "LatentThresholds",
@@ -39,18 +39,14 @@ logger = logging.getLogger(__name__)
 class LatentThresholds:
     """Aggregated cut points per latent variable.
 
-    The interior cut points are the weighted (standardizing-weight) sums of
-    the indicator cut points; the outer boundaries are fixed at -4 and +4.
-    ``padded(j)`` returns latent j's cut points with those boundaries
-    attached; consecutive entries tile the latent axis into the
-    homogeneous-response intervals A_i = (a_{i-1}, a_i].
+    ``cuts[j]`` holds latent j's interior cut points, the weighted
+    (standardizing-weight) sums of its indicators' cut points. With -inf and
+    +inf attached they tile the latent axis into the homogeneous-response
+    intervals A_i = (a_{i-1}, a_i].
     """
 
     cuts: tuple[np.ndarray, ...]
     category_counts: tuple[int, ...]
-
-    def padded(self, j: int) -> np.ndarray:
-        return np.concatenate([[-THRESHOLD_BOUND], self.cuts[j], [THRESHOLD_BOUND]])
 
 
 def direct_scores(data: DataMatrix, standardizing_weights: np.ndarray) -> np.ndarray:
@@ -119,15 +115,15 @@ def _subject_intervals(codes, padded_thresholds, block_weights, latent):
     return lower, upper
 
 
-def _overlap_probabilities(alpha, beta, padded_cuts):
-    """P(C intersect A_i) for every homogeneous set A_i.
+def _overlap_probabilities(alpha, beta, cuts):
+    """P(C intersect A_i) for every homogeneous set A_i between the interior ``cuts``.
 
-    The first and last sets are extended to -inf/+inf so the sets tile the
-    whole axis: the overlaps then sum exactly to P(C) even when weighted
+    The first and last sets reach -inf/+inf so the sets tile the whole
+    axis: the overlaps then sum exactly to P(C) even when weighted
     endpoints fall outside [-4, 4].
     """
-    lower_bounds = np.concatenate([[-np.inf], padded_cuts[1:-1]])
-    upper_bounds = np.concatenate([padded_cuts[1:-1], [np.inf]])
+    lower_bounds = np.concatenate([[-np.inf], cuts])
+    upper_bounds = np.concatenate([cuts, [np.inf]])
     # in place: these are N x I arrays, the largest of a prediction
     hi = np.minimum(beta[:, None], upper_bounds[None, :])
     ndtr(hi, out=hi)
@@ -179,7 +175,7 @@ def predict_categories(
         w = standardizing_weights[block, j]
         alpha, beta = _subject_intervals(codes, padded, w, latent)
         if rule == "mode":
-            out[:, j] = np.argmax(_overlap_probabilities(alpha, beta, lt.padded(j)), axis=1) + 1
+            out[:, j] = np.argmax(_overlap_probabilities(alpha, beta, lt.cuts[j]), axis=1) + 1
         else:
             try:
                 if rule == "median":

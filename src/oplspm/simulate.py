@@ -324,7 +324,8 @@ def run_study(config: SimulationConfig) -> BiasReport:
     Replications draw from independent substreams seeded by
     (config.seed, replication index), so results do not depend on
     execution order and are reproducible bit for bit. Replications whose
-    fit fails are excluded and reported, never silently dropped.
+    fit fails or whose polychoric matrix is not positive definite are
+    excluded and reported with the reason, never silently dropped.
     """
     model = simulation_model()
     bias_pls, bias_opls = [], []
@@ -338,6 +339,9 @@ def run_study(config: SimulationConfig) -> BiasReport:
             data, _ = generate_dataset(config, rng)
             fit_p = fit_correlation_model(pearson_matrix(data), model)
             sigma_poly, _ = polychoric_matrix(data, epsilon=config.epsilon)
+            if sigma_poly.pd_status == "failed":
+                eig = sigma_poly.min_eigenvalue()
+                raise DataError(f"polychoric matrix not positive definite (smallest eigenvalue {eig:.3g})")
             fit_o = fit_correlation_model(sigma_poly, model)
         except (DataError, ConvergenceError, EstimationError) as exc:
             failures.append({"replication": rep, "error": str(exc)})

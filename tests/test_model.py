@@ -66,11 +66,18 @@ class TestParseModel:
             parse_model(text)
 
     def test_duplicate_indicator(self):
+        # listed in two blocks, then twice within one block
+        for blocks in ("indicators a: x1\nindicators b: x1\n", "indicators a: x1 x1\nindicators b: y1\n"):
+            text = "latent a exogenous\nlatent b endogenous\n" + blocks + "path a -> b\n"
+            with pytest.raises(ModelError, match="indicator 'x1' assigned to more than one block"):
+                parse_model(text)
+
+    def test_endogenous_without_incoming_path(self):
         text = (
-            "latent a exogenous\nlatent b endogenous\n"
-            "indicators a: x1\nindicators b: x1\npath a -> b\n"
+            "latent a exogenous\nlatent b endogenous\nlatent c endogenous\n"
+            "indicators a: a1\nindicators b: b1\nindicators c: c1\npath a -> b\n"
         )
-        with pytest.raises(ModelError, match="more than one block"):
+        with pytest.raises(ModelError, match="endogenous latent 'c' has no incoming path"):
             parse_model(text)
 
     def test_unknown_directive(self):

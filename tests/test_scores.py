@@ -87,7 +87,6 @@ class TestLatentThresholds:
         sw[2, 1] = 1.0
         lt = latent_thresholds([ts, ts, ts], sw, model)
         assert np.allclose(lt.cuts[0], [-1.2, 1.2])
-        assert lt.padded(0)[0] == -4.0 and lt.padded(0)[-1] == 4.0
 
     def test_clipped_threshold_contributes_bound_times_weight(self):
         model = build_model(

@@ -155,6 +155,13 @@ class TestRunStudy:
         outer = a.outer_rows()
         assert len(outer) == 4 * 18
 
+    def test_non_pd_replication_reports_smallest_eigenvalue(self):
+        report = run_study(SimulationConfig(latent_law="beta", npoints=4, replications=2, seed=127))
+        assert report.failures == [
+            {"replication": 0, "error": "polychoric matrix not positive definite (smallest eigenvalue -0.00559)"}
+        ]
+        assert report.n_used == 1
+
     def test_true_values_are_fixed_constants(self):
         assert TRUE_VALUES == {
             "gamma11": 0.9,
