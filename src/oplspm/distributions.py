@@ -69,30 +69,48 @@ def std_normal_quantile(p):
 # Gauss-Legendre tier by |r|: 6 points below 0.3, 12 below 0.75, 20 above;
 # from 0.925 on, Genz's near-singular expansion replaces the arcsine form.
 _TIER_EDGES = np.array([0.3, 0.75, 0.925])
+# Bytes of one (nodes, rows, ...) block of the arcsine quadrature; a larger
+# input is taken a row chunk at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 def _rule(n):
-    # The n-point Gauss-Legendre rule mapped onto [0, 2], as (node, weight)
-    # pairs of Python floats.
+    # The n-point Gauss-Legendre rule mapped onto [0, 2], as rows (node, weight).
     x, w = np.polynomial.legendre.leggauss(n)
-    return tuple(zip((1.0 + x).tolist(), w.tolist()))
+    return np.column_stack([1.0 + x, w])
 
 
 def _bvnu_arcsine(h, k, r, nodes):
     # |r| < 0.925: quadrature of the arcsine form of the correlation integral.
-    hk = h * k
-    hs = 0.5 * (h * h + k * k)
-    asr = 0.5 * np.arcsin(r)
-    acc = np.zeros(h.shape)
-    for x, w in nodes:
-        sn = np.sin(asr * x)
-        acc += w * np.exp((sn * hk - hs) / (1.0 - sn * sn))
-    return acc * asr / (2.0 * math.pi) + ndtr(-h) * ndtr(-k)
+    # sin(asr x) and 1 - sin^2 depend on r and the node alone, so they are
+    # formed on r's own shape and broadcast over the trailing axes.
+    shape = np.broadcast_shapes(h.shape, k.shape)
+    x, w = (v.reshape(-1, *(1,) * len(shape)) for v in nodes.T)
+    asr = 0.5 * np.arcsin(r.reshape(r.shape + (1,) * (len(shape) - r.ndim)))
+    step = max(1, _BLOCK_BYTES // (8 * len(nodes) * math.prod(shape[1:])))
+    out = np.empty(shape)
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        hc, kc, a = h[rows], k[rows], asr[rows] if r.ndim else asr
+        sn = np.sin(a * x)
+        terms = sn * (hc * kc)
+        terms -= 0.5 * (hc * hc + kc * kc)
+        terms /= 1.0 - sn * sn
+        np.exp(terms, out=terms)
+        terms *= w
+        # node by node, in rule order: np.add.reduce sums a one-element
+        # block pairwise instead, which rounds differently
+        acc = terms[0]
+        for term in terms[1:]:
+            acc += term
+        out[rows] = acc * a / (2.0 * math.pi) + ndtr(-hc) * ndtr(-kc)
+    return out
 
 
 def _bvnu_near_singular(h, k, r, nodes):
     # |r| >= 0.925: the integrand is nearly singular; use Genz's expansion
-    # around |r| = 1 plus quadrature on the remainder.
+    # around |r| = 1 plus quadrature on the remainder, element by element.
+    h, k, r = np.broadcast_arrays(h, k, r.reshape(r.shape + (1,) * (max(h.ndim, k.ndim) - r.ndim)))
     negative = r < 0.0
     kk = np.where(negative, -k, k)
     hk = np.where(negative, -h * k, h * k)
@@ -136,9 +154,10 @@ def _bvnu_near_singular(h, k, r, nodes):
     )
 
 
-# One (evaluator, nodes) per tier of _TIER_EDGES. The nodes are accumulated
-# one at a time rather than as a (nodes x elements) array, which keeps the
-# working set at a few element-sized vectors.
+# One (evaluator, nodes) per tier of _TIER_EDGES, the nodes as rows (node,
+# weight). The arcsine form takes every node of a row chunk at once, as a
+# (nodes, rows, ...) block of at most _BLOCK_BYTES, and adds the nodes in
+# rule order; the near-singular form takes one node at a time.
 _BRANCHES = (
     (_bvnu_arcsine, _rule(6)),
     (_bvnu_arcsine, _rule(12)),
@@ -148,12 +167,12 @@ _BRANCHES = (
 
 
 def _bvnu_finite(h, k, r):
-    # Upper-orthant probability P(X > h, Y > k) for 1-D arrays of finite
-    # limits; r is broadcast to one correlation per element, and each
-    # element takes the quadrature tier and branch of its own |r|.
-    r = np.broadcast_to(np.asarray(r, dtype=float), h.shape)
+    # Upper-orthant probability P(X > h, Y > k) at finite limits, with r as
+    # in _bvn_cdf_finite; each leading index takes the quadrature tier and
+    # branch of its own |r|.
+    r = np.asarray(r, dtype=float)
     tier = np.searchsorted(_TIER_EDGES, np.abs(r), side="right")
-    out = np.empty(h.shape)
+    out = np.empty(np.broadcast_shapes(h.shape, k.shape))
     for t, (branch, nodes) in enumerate(_BRANCHES):
         m = tier == t
         if m.all():
@@ -172,8 +191,16 @@ def _bvn_cdf_infinite(h, k):
 
 
 def _bvn_cdf_finite(h, k, rho):
-    # Low-overhead path for hot loops: 1-D float arrays of finite limits,
-    # rho (broadcast to one per element) already validated by the caller.
+    """P(X <= h, Y <= k) at finite limits, for hot loops that validated rho themselves.
+
+    ``h`` and ``k`` are float arrays that broadcast to one shape with at
+    least one axis, such as a pair's row limits against its column limits.
+    ``rho`` holds one correlation per leading index of that shape: 0-d for
+    all elements, one per row (a pair's corners) or one per element; ``h``
+    and ``k`` have those leading axes in full. The quadrature's sines are
+    computed once per correlation and node, and terms of one limit once
+    per limit, not once per corner.
+    """
     return np.clip(_bvnu_finite(-h, -k, rho), 0.0, 1.0)
 
 

@@ -265,27 +265,29 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     lim_h, lim_k = _padded_limits(cuts_h, rows), _padded_limits(cuts_k, cols)
 
     # CDF corners on an infinite limit are marginals fixed by the
-    # thresholds; only the finite interior corners depend on rho.
-    grid_h, grid_k = np.broadcast_arrays(lim_h[:, :, None], lim_k[:, None, :])
-    fixed, finite = _bvn_cdf_infinite(grid_h, grid_k)
-    corner_h, corner_k = grid_h[finite], grid_k[finite]
-    owner = np.nonzero(finite)[0]
+    # thresholds; only the finite interior corners depend on rho. A pair's
+    # interior corners are evaluated as one block sharing its rho, from its
+    # row limits against its column limits; padded limits take a dummy 0
+    # and their corners are masked back.
+    fixed, finite = _bvn_cdf_infinite(lim_h[:, :, None], lim_k[:, None, :])
+    inner = np.s_[:, 1:-1, 1:-1]
+    finite = finite[inner]
+    corner_h = np.where(np.isfinite(lim_h), lim_h, 0.0)[:, 1:-1, None]
+    corner_k = np.where(np.isfinite(lim_k), lim_k, 0.0)[:, None, 1:-1]
 
     def evaluate(active, rho, derivatives):
         # Loglikelihood (and score, curvature) of the active pairs at rho.
-        sel = active[owner]
-        h, k = corner_h[sel], corner_k[sel]
-        r = rho[owner[sel]]
-        mask = finite[active]
+        h, k, r, mask = corner_h[active], corner_k[active], rho[active], finite[active]
         cdf = fixed[active]
-        cdf[mask] = _bvn_cdf_finite(h, k, r)
+        np.copyto(cdf[inner], _bvn_cdf_finite(h, k, r), where=mask)
         probs = np.diff(np.diff(cdf, axis=1), axis=2)
         w = weights[active]
         loglik = np.sum(w * np.log(np.maximum(probs, _LOG_FLOOR)), axis=(1, 2))
         if not derivatives:
             return loglik
         d1, d2 = np.zeros((2, *cdf.shape))
-        d1[mask], d2[mask] = _bvn_pdf_drho(h, k, r)
+        for d, value in zip((d1, d2), _bvn_pdf_drho(h, k, r[:, None, None])):
+            np.copyto(d[inner], value, where=mask)
         dp = np.diff(np.diff(d1, axis=1), axis=2)
         d2p = np.diff(np.diff(d2, axis=1), axis=2)
         # floored cells are flat in rho, so they drop out of the derivatives

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
+
+from oplspm import distributions
 
 from oplspm.distributions import (
     bvn_cdf,
@@ -15,7 +18,7 @@ from oplspm.distributions import (
     truncated_normal_mean,
     truncated_normal_median,
 )
-from oplspm.distributions import _BRANCHES, _TIER_EDGES, _bvn_cdf_finite
+from oplspm.distributions import _BRANCHES, _TIER_EDGES, _bvn_cdf_finite, _bvnu_arcsine, _bvnu_near_singular
 
 mp.mp.dps = 40
 
@@ -40,6 +43,41 @@ def mp_bvn(h, k, rho):
     points = [-mp.inf, *sorted(x for x in steps if x < h), h]
     return float(mp.quad(f, points))
 
+
+def arcsine_oracle(h, k, r, nodes):
+    """The arcsine-form upper orthant before the per-pair sines, frozen: ``_bvnu_arcsine`` as it was.
+
+    1-D arrays with one correlation per element; the nodes are accumulated
+    one at a time.
+    """
+    hk = h * k
+    hs = 0.5 * (h * h + k * k)
+    asr = 0.5 * np.arcsin(r)
+    acc = np.zeros(h.shape)
+    for x, w in nodes:
+        sn = np.sin(asr * x)
+        acc += w * np.exp((sn * hk - hs) / (1.0 - sn * sn))
+    return acc * asr / (2.0 * math.pi) + ndtr(-h) * ndtr(-k)
+
+
+def bvn_oracle(h, k, rho):
+    """``_bvn_cdf_finite`` element by element: each element's own tier, the frozen
+    arcsine form, or the near-singular form at one correlation per element."""
+    h, k, rho = np.broadcast_arrays(h, k, rho)
+    shape = h.shape
+    h, k, rho = (np.ravel(v).astype(float) for v in (h, k, rho))
+    tier = np.searchsorted(_TIER_EDGES, np.abs(rho), side="right")
+    out = np.empty(h.shape)
+    for t, (branch, nodes) in enumerate(_BRANCHES):
+        m = tier == t
+        if m.any():
+            form = arcsine_oracle if branch is _bvnu_arcsine else _bvnu_near_singular
+            out[m] = form(-h[m], -k[m], rho[m], nodes)
+    return np.clip(out, 0.0, 1.0).reshape(shape)
+
+
+# one correlation inside each tier, on each tier edge, and at the +/-0.999 bound
+TIER_RHOS = [0.1, -0.29, 0.3, 0.5, -0.75, 0.8, 0.925, -0.93, 0.97, 0.999, -0.999]
 
 # (h, k, rho) covering every quadrature tier (|rho| < 0.3, < 0.75, < 0.925)
 # and both signs of the near-singular branch
@@ -197,6 +235,55 @@ class TestBvnCdf:
             alone = _bvn_cdf_finite(h[i : i + 1], k[i : i + 1], rho)[0]
             assert abs(batched[i] - alone) <= 1e-15
             assert abs(batched[i] - mp_bvn(hi, ki, rho)) < 1e-12
+
+
+class TestBvnKernel:
+    """The kernel computes each correlation's sines once and must match the frozen per-element form bit for bit."""
+
+    @pytest.mark.parametrize("rho", TIER_RHOS)
+    @pytest.mark.parametrize("n", [2, 37])
+    def test_scalar_rho(self, rho, n):
+        rng = np.random.default_rng(n)
+        h, k = rng.uniform(-4, 4, (2, n))
+        assert np.array_equal(_bvn_cdf_finite(h, k, rho), bvn_oracle(h, k, rho))
+        assert np.array_equal(_bvn_cdf_finite(h, k, np.float64(rho)), bvn_oracle(h, k, rho))
+
+    def test_single_element_calls(self, rng):
+        # one element is where a pairwise sum over the nodes would round differently
+        for h, k, rho in zip(*rng.uniform(-4, 4, (2, 300)), rng.uniform(-0.999, 0.999, 300)):
+            assert _bvn_cdf_finite(np.array([h]), np.array([k]), rho) == bvn_oracle(h, k, rho)
+
+    def test_rho_per_element_mixing_tiers(self, rng):
+        h, k = rng.uniform(-4, 4, (2, 500))
+        rho = np.concatenate([TIER_RHOS, rng.uniform(-0.999, 0.999, 500 - len(TIER_RHOS))])
+        assert np.array_equal(_bvn_cdf_finite(h, k, rho), bvn_oracle(h, k, rho))
+
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_rho_per_row_mixing_tiers(self, rng, broadcast):
+        # a pair's corners: its row limits against its column limits, as the pair solve passes them
+        rows = len(TIER_RHOS)
+        h, k = rng.uniform(-4, 4, (rows, 6, 1)), rng.uniform(-4, 4, (rows, 1, 5))
+        if not broadcast:
+            h, k = np.broadcast_arrays(h, k)
+        rho = np.array(TIER_RHOS)
+        assert np.array_equal(_bvn_cdf_finite(h, k, rho), bvn_oracle(h, k, rho[:, None, None]))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 6, 7])
+    def test_inputs_either_side_of_a_chunk_boundary(self, rng, monkeypatch, rows):
+        # blocks of three 4 x 5 rows at the 6-point rule, and of one row at 12 and 20 points
+        monkeypatch.setattr(distributions, "_BLOCK_BYTES", 8 * 6 * 20 * 3)
+        h, k = rng.uniform(-4, 4, (rows, 4, 1)), rng.uniform(-4, 4, (rows, 1, 5))
+        rho = rng.choice(TIER_RHOS, rows)
+        assert np.array_equal(_bvn_cdf_finite(h, k, rho), bvn_oracle(h, k, rho[:, None, None]))
+        for r in (0.1, 0.5, 0.8):
+            flat = rng.uniform(-4, 4, (2, 20 * rows))
+            assert np.array_equal(_bvn_cdf_finite(*flat, r), bvn_oracle(*flat, r))
+
+    def test_public_cdf_above_one_block(self, rng):
+        # more elements than one block holds at every rule
+        h, k = rng.uniform(-4, 4, (2, distributions._BLOCK_BYTES // 8 + 3))
+        for rho in (0.1, 0.5, 0.8, 0.95):
+            assert np.array_equal(bvn_cdf(h, k, rho), bvn_oracle(h, k, rho))
 
 
 class TestTruncatedNormal:

@@ -467,6 +467,33 @@ class TestPolychoricMatrix:
             alone = polychoric_pair(table, ts_h, ts_k)
             assert abs(sigma.values[h, k] - alone.rho) <= 1e-12
 
+    def test_pair_solve_does_not_depend_on_its_batch(self, rng):
+        # 5-point columns give 5 x 5 tables with correlations in every BVN tier,
+        # and a concordant 5 x 5 table is solved at its bound
+        config = SimulationConfig(latent_law="beta", npoints=5, replications=1)
+        data, _ = generate_dataset(config, np.random.default_rng([3, 0]))
+        fits = list(pair_tables(data, polychoric_matrix(data)[1], epsilon=0.0).values())
+        counts = staircase(rng, (5, 5))
+        ts = polychoric._thresholds_from_counts(counts.sum(axis=1), np.arange(1, 6))
+        ts_k = polychoric._thresholds_from_counts(counts.sum(axis=0), np.arange(1, 6))
+        fits.append((ContingencyTable(counts, epsilon=0.0), ts, ts_k))
+        assert {table.counts.shape for table, _, _ in fits} == {(5, 5)}
+
+        def solve(batch):
+            weights = np.stack([fits[p][0].smoothed() for p in batch])
+            return polychoric._solve_pairs(
+                weights, [fits[p][1].cuts for p in batch], [fits[p][2].cuts for p in batch]
+            )
+
+        everyone = np.arange(len(fits))
+        rho, loglik, _ = solve(everyone)
+        assert np.any(np.abs(rho) > 0.925) and np.any(np.abs(rho) < 0.3) and rho[-1] == RHO_BOUND
+        subset = rng.permutation(everyone)[: len(fits) // 3]
+        for batch in [subset, [everyone[-1]], *([p] for p in everyone[::5])]:
+            alone_rho, alone_loglik, _ = solve(batch)
+            assert np.array_equal(alone_rho, rho[batch])
+            assert np.array_equal(alone_loglik, loglik[batch])
+
     def test_non_convergence_names_pair(self, rng, monkeypatch):
         model = random_recursive_model(rng, n_latents=3, max_indicators=2)
         data = ordinal_dataset(model, rng, n=150, npoints=4)
