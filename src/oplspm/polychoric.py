@@ -235,17 +235,34 @@ def _padded_limits(cuts, size):
     return limits
 
 
+def _canonical_orientation(weights, cuts_h, cuts_k):
+    """The pair tables turned so that each pair's rows are the side whose (cut count, cuts) sorts first.
+
+    A table and its transpose then take the same arithmetic. The turned
+    tables are stacked again at their largest row and column counts.
+    """
+    swap = np.array([(h.size, h.tolist()) > (k.size, k.tolist()) for h, k in zip(cuts_h, cuts_k)])
+    cuts_h, cuts_k = zip(*((k, h) if s else (h, k) for h, k, s in zip(cuts_h, cuts_k, swap)))
+    n, rows, cols = weights.shape
+    square = np.zeros((n, max(rows, cols), max(rows, cols)))
+    square[:, :rows, :cols] = weights
+    square[swap] = square[swap].swapaxes(1, 2)
+    return square[:, : max(h.size for h in cuts_h) + 1, : max(k.size for k in cuts_k) + 1], cuts_h, cuts_k
+
+
 def _solve_pairs(weights, cuts_h, cuts_k):
     """Two-step ML correlation of many pair tables at once.
 
     ``weights[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
-    ``cuts_k[p]`` its interior thresholds. Every pair is padded to one
-    corner grid: ``weights`` is stacked at the largest table shape with
-    zero counts in the padded cells, and padded limits are +inf, so they
-    add exactly 0 to the loglikelihood and its derivatives, and a pair's
-    result does not depend on which pairs share its batch, up to summation
-    rounding: a different padded shape reorders the sums, which can move
-    rho by about 1e-15.
+    ``cuts_k[p]`` its interior thresholds. Each pair is solved in one
+    orientation (``_canonical_orientation``), so a table and its transpose
+    give the same result. Every pair is padded to one corner grid:
+    ``weights`` is stacked at the largest table shape with zero counts in
+    the padded cells, and padded limits are +inf, so they add exactly 0 to
+    the loglikelihood and its derivatives. A pair's result does not depend
+    on which pairs share its batch when the padded shape is the same; a
+    different padded shape reorders the sums, which can move rho by about
+    1e-15.
 
     Each pair starts cold at the Pearson correlation of its category
     indices under its own table. Newton steps on the analytic score
@@ -261,6 +278,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
 
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
+    weights, cuts_h, cuts_k = _canonical_orientation(weights, cuts_h, cuts_k)
     n, rows, cols = weights.shape
     lim_h, lim_k = _padded_limits(cuts_h, rows), _padded_limits(cuts_k, cols)
 

@@ -765,7 +765,8 @@ class TestSymmetries:
         for ts, p in zip(thresholds_p, perm):
             assert np.array_equal(ts.cuts, thresholds[p].cuts)
             assert ts.categories == thresholds[p].categories
-        # a permutation may transpose a pair's table, which reorders its sums
+        # a permutation may transpose a pair's table, which the solve turns back
+        # unless the two columns' cuts are equal
         assert np.abs(sigma_p.values - sigma.values[np.ix_(perm, perm)]).max() <= 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.data())
@@ -781,9 +782,9 @@ class TestSymmetries:
         sign[j] = -1.0
         assert np.abs(flipped.values - sigma.values * np.outer(sign, sign)).max() <= 1e-10
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_transposed_table_same_rho(self, seed):
+    @staticmethod
+    def transposed_fits(seed):
+        """``polychoric_pair`` on a random table and on its transpose."""
         rng = np.random.default_rng(seed)
         ih, ik = rng.integers(2, 7, 2)
         ts_h = make_ts(np.sort(rng.normal(size=ih - 1)))
@@ -793,7 +794,19 @@ class TestSymmetries:
         counts[-1, -1] += 1
         fit = polychoric_pair(ContingencyTable(counts), ts_h, ts_k)
         transposed = polychoric_pair(ContingencyTable(counts.T.copy()), ts_k, ts_h)
+        return fit, transposed
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_transposed_table_same_rho(self, seed):
+        fit, transposed = self.transposed_fits(seed)
         assert transposed.rho == pytest.approx(fit.rho, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [981455, 2161])
+    def test_transposed_table_same_rho_regressions(self, seed):
+        # a solve in the orientation it was given put these 1.02e-12 and 2.7e-12 apart
+        fit, transposed = self.transposed_fits(seed)
+        assert transposed.rho == fit.rho
 
 
 class TestPearsonMatrix:
