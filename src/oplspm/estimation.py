@@ -93,9 +93,6 @@ class FitResult:
                 f"no inner coefficient for path {covariate} -> {target}"
             ) from None
 
-    def inner_coefficient(self, target: str, covariate: str) -> float:
-        return float(self.path_coefficients([(target, covariate)])[0])
-
 
 def _structural_equations(model: PathModel):
     """(target, covariate indices) of each endogenous latent, in ``FitResult.inner`` order."""

@@ -250,9 +250,9 @@ def test_criterion_09_mobile_phone_reproduction():
     data = load_data(MOBILE_CSV, model, kinds="ordinal")
     pls = fit_correlation_model(pearson_matrix(data), model)
     opls = fit_correlation_model(polychoric_matrix(data)[0], model)
-    b21_pls = pls.inner_coefficient("expectations", "image")
-    b53_pls = pls.inner_coefficient("satisfaction", "quality")
-    b21_opls = opls.inner_coefficient("expectations", "image")
+    b21_pls = pls.path_coefficients([("expectations", "image")])[0]
+    b53_pls = pls.path_coefficients([("satisfaction", "quality")])[0]
+    b21_opls = opls.path_coefficients([("expectations", "image")])[0]
     conclude(9, "mobile-phone fit reproduction", [
         (f"pls beta21 {b21_pls:.3f} ~ 0.491", abs(b21_pls - 0.491) <= 0.005),
         (f"pls beta53 {b53_pls:.3f} ~ 0.544", abs(b53_pls - 0.544) <= 0.005),

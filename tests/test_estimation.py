@@ -177,7 +177,7 @@ class TestFitResult:
         for rel in fit.reliability:
             assert rel.cronbach_alpha is not None
             assert rel.dillon_goldstein is not None
-        assert fit.inner_coefficient("b", "a") == fit.inner[0].coefficients[0]
+        assert fit.path_coefficients([("b", "a")])[0] == fit.inner[0].coefficients[0]
 
     def test_path_coefficients_in_requested_order(self, rng):
         model = chain_model()
@@ -189,11 +189,10 @@ class TestFitResult:
         }
         paths = [("c", "b"), ("b", "a"), ("c", "a")]
         assert fit.path_coefficients(paths).tolist() == [by_path[p] for p in paths]
-        assert fit.inner_coefficient("c", "a") == by_path[("c", "a")]
         with pytest.raises(EstimationError, match="no inner coefficient for path c -> a"):
             fit.path_coefficients([("b", "a"), ("a", "c")])
         with pytest.raises(EstimationError, match="path c -> b"):
-            fit.inner_coefficient("b", "c")
+            fit.path_coefficients([("b", "c")])
 
     def test_single_indicator_block_reliability_is_none(self, rng):
         model = build_model(
