@@ -110,7 +110,8 @@ def _bvnu_arcsine(h, k, r, nodes):
 def _bvnu_near_singular(h, k, r, nodes):
     # |r| >= 0.925: the integrand is nearly singular; use Genz's expansion
     # around |r| = 1 plus quadrature on the remainder, element by element.
-    h, k, r = np.broadcast_arrays(h, k, r.reshape(r.shape + (1,) * (max(h.ndim, k.ndim) - r.ndim)))
+    ndim = max(h.ndim, k.ndim)
+    h, k, r = np.broadcast_arrays(h, k, r.reshape(r.shape + (1,) * (ndim - r.ndim)))
     negative = r < 0.0
     kk = np.where(negative, -k, k)
     hk = np.where(negative, -h * k, h * k)

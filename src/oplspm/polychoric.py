@@ -236,7 +236,7 @@ def _padded_limits(cuts, size):
 
 
 def _canonical_orientation(weights, cuts_h, cuts_k):
-    """The pair tables turned so that each pair's rows are the side whose (cut count, cuts) sorts first.
+    """Pair tables turned so each pair's rows are the side whose (cut count, cuts) sorts first.
 
     A table and its transpose then take the same arithmetic. The turned
     tables are stacked again at their largest row and column counts.
@@ -247,7 +247,8 @@ def _canonical_orientation(weights, cuts_h, cuts_k):
     square = np.zeros((n, max(rows, cols), max(rows, cols)))
     square[:, :rows, :cols] = weights
     square[swap] = square[swap].swapaxes(1, 2)
-    return square[:, : max(h.size for h in cuts_h) + 1, : max(k.size for k in cuts_k) + 1], cuts_h, cuts_k
+    rows, cols = (max(c.size for c in cuts) + 1 for cuts in (cuts_h, cuts_k))
+    return square[:, :rows, :cols], cuts_h, cuts_k
 
 
 def _solve_pairs(weights, cuts_h, cuts_k):

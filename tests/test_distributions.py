@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from oplspm import distributions
-
 from oplspm.distributions import (
     bvn_cdf,
     sample_standardized_beta,
@@ -18,7 +17,13 @@ from oplspm.distributions import (
     truncated_normal_mean,
     truncated_normal_median,
 )
-from oplspm.distributions import _BRANCHES, _TIER_EDGES, _bvn_cdf_finite, _bvnu_arcsine, _bvnu_near_singular
+from oplspm.distributions import (
+    _BRANCHES,
+    _TIER_EDGES,
+    _bvn_cdf_finite,
+    _bvnu_arcsine,
+    _bvnu_near_singular,
+)
 
 mp.mp.dps = 40
 
@@ -45,7 +50,7 @@ def mp_bvn(h, k, rho):
 
 
 def arcsine_oracle(h, k, r, nodes):
-    """The arcsine-form upper orthant before the per-pair sines, frozen: ``_bvnu_arcsine`` as it was.
+    """The arcsine form before the per-pair sines, frozen: ``_bvnu_arcsine`` as it was.
 
     1-D arrays with one correlation per element; the nodes are accumulated
     one at a time.
@@ -238,7 +243,7 @@ class TestBvnCdf:
 
 
 class TestBvnKernel:
-    """The kernel computes each correlation's sines once and must match the frozen per-element form bit for bit."""
+    """Sines once per correlation and node, bit for bit the frozen per-element form."""
 
     @pytest.mark.parametrize("rho", TIER_RHOS)
     @pytest.mark.parametrize("n", [2, 37])
@@ -260,7 +265,7 @@ class TestBvnKernel:
 
     @pytest.mark.parametrize("broadcast", [False, True])
     def test_rho_per_row_mixing_tiers(self, rng, broadcast):
-        # a pair's corners: its row limits against its column limits, as the pair solve passes them
+        # a pair's corners: its row limits against its column limits, as the pair solve has them
         rows = len(TIER_RHOS)
         h, k = rng.uniform(-4, 4, (rows, 6, 1)), rng.uniform(-4, 4, (rows, 1, 5))
         if not broadcast:
