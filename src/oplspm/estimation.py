@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import DataError, EstimationError, OplsError
 from .model import DataMatrix, PathModel
-from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState, _fit_stack, matrix_pls_fit
+from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState, matrix_pls_fit
+from .pls import _check_limits, _fit_stack
 # pearson_matrix and polychoric_matrix are no longer called here, but stay
 # importable from this module: bench/selftest.py patches them here.
 from .polychoric import (  # noqa: F401
@@ -332,6 +333,7 @@ def bootstrap_inner(
         raise EstimationError(f"n_boot must be at least 2, got {n_boot}")
     if mode not in ("pls", "opls"):
         raise EstimationError(f"unknown mode '{mode}'")
+    _check_limits(tol, max_iter)  # before any replicate is drawn or solved
     if data.n_cols != model.n_indicators:
         raise DataError(f"data has {data.n_cols} columns, model expects {model.n_indicators}")
     equations = _structural_equations(model)

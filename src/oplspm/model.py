@@ -351,9 +351,9 @@ def _read_values(source, select=None):
     """Stream a header+rows CSV into an N x K float matrix.
 
     Rows are converted in chunks of ``_CHUNK_ROWS``, so only one chunk of
-    cell strings exists at a time. ``select(header)`` may validate the
-    header and return the column order to keep; it runs before any cell is
-    converted. Returns the header and the values.
+    cell strings exists at a time. A repeated header name is rejected, and
+    ``select(header)`` may validate the header and return the column order
+    to keep, before any cell is converted. Returns the header and the values.
     """
     with _csv_reader(source) as reader:
         lines = filter(None, reader)  # csv yields [] for an empty line
@@ -362,6 +362,9 @@ def _read_values(source, select=None):
         if first is None:
             raise DataError("CSV needs a header row and at least one data row")
         header = [cell.strip() for cell in header]
+        if len(set(header)) < len(header):
+            name = next(name for i, name in enumerate(header) if name in header[:i])
+            raise DataError(f"repeated data column '{name}'")
         order = select(header) if select is not None else None
         rows = chain([first], lines)
         blocks, row_no = [], 2

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DataError
+from .errors import ConvergenceError, DataError, EstimationError
 from .model import DataMatrix, PathModel
 from .polychoric import CorrelationMatrix
 
@@ -89,6 +89,14 @@ def initial_weights(model: PathModel) -> np.ndarray:
     """Starting weights 1/p_j on each block, zero elsewhere."""
     chi = model.weight_pattern()
     return chi / chi.sum(axis=0)
+
+
+def _check_limits(tol, max_iter):
+    """Reject an iteration cap below 1 or a tolerance that is not a finite positive number."""
+    if not max_iter >= 1:
+        raise EstimationError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise EstimationError(f"tol must be a finite positive number, got {tol}")
 
 
 def _matrix_step(sigma, t_sym, chi, weights):
@@ -169,6 +177,7 @@ def _fit_stack(
     ``max_iter`` passes; only members still iterating are updated. A
     member's arithmetic does not depend on the rest of the stack.
     """
+    _check_limits(tol, max_iter)
     chi = model.weight_pattern()
     t = model.inner_adjacency
     t_sym = t + t.T
@@ -281,6 +290,7 @@ def score_based_pls_fit(
         raise DataError("score-based PLS requires interval data; use the matrix engine instead")
     if data.columns != model.indicator_names:
         raise DataError("data columns do not match the model's indicator order")
+    _check_limits(tol, max_iter)
     n = data.n_rows
     z = _standardized_indicators(data)
 

@@ -235,29 +235,19 @@ def _padded_limits(cuts, size):
     return limits
 
 
-def _canonical_orientation(weights, cuts_h, cuts_k):
-    """Pair tables turned so each pair's rows are the side whose (cut count, cuts) sorts first.
-
-    A table and its transpose then take the same arithmetic. The turned
-    tables are stacked again at their largest row and column counts.
-    """
-    swap = np.array([(h.size, h.tolist()) > (k.size, k.tolist()) for h, k in zip(cuts_h, cuts_k)])
-    cuts_h, cuts_k = zip(*((k, h) if s else (h, k) for h, k, s in zip(cuts_h, cuts_k, swap)))
-    n, rows, cols = weights.shape
-    square = np.zeros((n, max(rows, cols), max(rows, cols)))
-    square[:, :rows, :cols] = weights
-    square[swap] = square[swap].swapaxes(1, 2)
-    rows, cols = (max(c.size for c in cuts) + 1 for cuts in (cuts_h, cuts_k))
-    return square[:, :rows, :cols], cuts_h, cuts_k
+def _turned(cuts_h, cuts_k):
+    """Whether a pair is solved turned: its rows' (cut count, cuts) sort after its columns' (a tie is not)."""
+    return (cuts_h.size, cuts_h.tolist()) > (cuts_k.size, cuts_k.tolist())
 
 
 def _solve_pairs(weights, cuts_h, cuts_k):
     """Two-step ML correlation of many pair tables at once.
 
     ``weights[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
-    ``cuts_k[p]`` its interior thresholds. Each pair is solved in one
-    orientation (``_canonical_orientation``), so a table and its transpose
-    give the same result. Every pair is padded to one corner grid:
+    ``cuts_k[p]`` its interior thresholds. Callers turn each pair with
+    ``_turned`` first, so a table and its transpose give the same result;
+    the tables must be C-ordered, as the loglikelihood sums run in memory
+    order. Every pair is padded to one corner grid:
     ``weights`` is stacked at the largest table shape with zero counts in
     the padded cells, and padded limits are +inf, so they add exactly 0 to
     the loglikelihood and its derivatives. A pair's result does not depend
@@ -279,7 +269,6 @@ def _solve_pairs(weights, cuts_h, cuts_k):
 
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
-    weights, cuts_h, cuts_k = _canonical_orientation(weights, cuts_h, cuts_k)
     n, rows, cols = weights.shape
     lim_h, lim_k = _padded_limits(cuts_h, rows), _padded_limits(cuts_k, cols)
 
@@ -409,7 +398,10 @@ def polychoric_pair(
         If the refinement does not converge; carries the best rho found.
     """
     _check_table(table, thresholds_h, thresholds_k)
-    rho, loglik, converged = _solve_pairs(table.smoothed()[None], [thresholds_h.cuts], [thresholds_k.cuts])
+    weights, cuts_h, cuts_k = table.smoothed(), thresholds_h.cuts, thresholds_k.cuts
+    if _turned(cuts_h, cuts_k):
+        weights, cuts_h, cuts_k = weights.T, cuts_k, cuts_h
+    rho, loglik, converged = _solve_pairs(np.ascontiguousarray(weights[None]), [cuts_h], [cuts_k])
     if not converged[0]:
         raise ConvergenceError(_NOT_CONVERGED, best=float(rho[0]))
     return PairResult(rho=float(rho[0]), loglik=float(loglik[0]))
@@ -455,21 +447,18 @@ def _pair_tables(gram, index, pairs, epsilon):
     ``index[k]`` holds the cross-product rows of column k's categories, in
     category order, and pair (h, k)'s table is the block of ``gram`` at
     rows ``index[h]`` and columns ``index[k]``. Empty cells hold
-    ``epsilon``; padded cells hold zero counts.
+    ``epsilon``; padded cells are gathered from a zero row and column
+    appended to the smoothed cross-product, so they hold zero counts.
     """
+    smoothed = np.pad(np.where(gram == 0, epsilon, gram), (0, 1))
     sizes = np.array([ix.size for ix in index])
-    padded = np.zeros((sizes.size, sizes.max()), dtype=int)
+    padded = np.full((sizes.size, sizes.max()), gram.shape[0])
     for k, ix in enumerate(index):
         padded[k, : ix.size] = ix
     h, k = pairs.T
-    span_h, span_k = np.arange(sizes[h].max()), np.arange(sizes[k].max())
-    real_h = span_h < sizes[h, None]
-    real_k = span_k < sizes[k, None]
-    rows = padded[h, : span_h.size]
-    cols = padded[k, : span_k.size]
-    real = real_h[:, :, None] & real_k[:, None, :]
-    counts = np.where(real, gram[rows[:, :, None], cols[:, None, :]], 0.0)
-    return np.where(real & (counts == 0), epsilon, counts)
+    rows = padded[h, : sizes[h].max()]
+    cols = padded[k, : sizes[k].max()]
+    return smoothed[rows[:, :, None], cols[:, None, :]]
 
 
 def _count_polychoric(codes, categories, columns, epsilon, weights=None):
@@ -516,10 +505,13 @@ def _count_polychoric(codes, categories, columns, epsilon, weights=None):
     if pairs.size:
         if epsilon < 0:
             raise DataError(f"{label(0)}: smoothing epsilon must be nonnegative")
-        tables = _pair_tables(gram, index, pairs, epsilon)
+        # the cross-product is symmetric, so a turned pair's block is its turned table
+        turned = [_turned(thresholds[h].cuts, thresholds[k].cuts) for h, k in pairs]
+        solved = np.where(np.array(turned)[:, None], pairs[:, ::-1], pairs)
+        tables = _pair_tables(gram, index, solved, epsilon)
         del gram  # not needed by the solve, whose working arrays set the memory peak
         rho, _, converged = _solve_pairs(
-            tables, [thresholds[h].cuts for h, _ in pairs], [thresholds[k].cuts for _, k in pairs]
+            tables, [thresholds[h].cuts for h, _ in solved], [thresholds[k].cuts for _, k in solved]
         )
         if not converged.all():
             p = int(np.argmin(converged))

@@ -96,13 +96,15 @@ def latent_thresholds(
     return LatentThresholds(cuts=tuple(cuts), category_counts=tuple(counts))
 
 
-def _subject_intervals(codes, padded_thresholds, block_weights, latent):
-    """Per-subject interval endpoints (alpha, beta] on the latent scale."""
-    lower = np.zeros(codes.shape[0])
-    upper = np.zeros(codes.shape[0])
-    for h, w in enumerate(block_weights):
-        lower += w * np.take(padded_thresholds[h], codes[:, h] - 1)
-        upper += w * np.take(padded_thresholds[h], codes[:, h])
+def _subject_intervals(data, block, threshold_sets, block_weights, latent):
+    """Per-subject interval endpoints (alpha, beta] on the latent scale, one block column at a time."""
+    lower = np.zeros(data.n_rows)
+    upper = np.zeros(data.n_rows)
+    for k, w in zip(range(block.start, block.stop), block_weights):
+        padded = threshold_sets[k].padded()
+        codes = threshold_sets[k].map_codes(data.codes(k))
+        lower += w * np.take(padded, codes - 1)
+        upper += w * np.take(padded, codes)
     swapped = lower > upper
     if np.any(swapped):
         # Possible only with negative weights after orientation correction.
@@ -167,13 +169,8 @@ def predict_categories(
     out = np.empty((n, model.n_latents), dtype=int)
     for j, latent in enumerate(model.latent_names):
         block = model.block_slice(j)
-        block_sets = threshold_sets[block]
-        codes = np.column_stack(
-            [block_sets[h].map_codes(data.codes(block.start + h)) for h in range(len(block_sets))]
-        )
-        padded = [ts.padded() for ts in block_sets]
         w = standardizing_weights[block, j]
-        alpha, beta = _subject_intervals(codes, padded, w, latent)
+        alpha, beta = _subject_intervals(data, block, threshold_sets, w, latent)
         if rule == "mode":
             out[:, j] = np.argmax(_overlap_probabilities(alpha, beta, lt.cuts[j]), axis=1) + 1
         else:

@@ -121,13 +121,13 @@ class SimulationConfig:
 def rescale_to_points(values: np.ndarray, npoints: int) -> np.ndarray:
     """Map a continuous sample onto integer categories 1..npoints.
 
-    Uses the sample extrema; the +0.01 in the denominator keeps the top
-    value strictly below npoints + 0.5. Rounding is half away from zero so
-    the minimum (exactly 0.5 after rescaling) lands on category 1.
+    Uses each column's sample extrema; the +0.01 in the denominator keeps the
+    top value strictly below npoints + 0.5. Rounding is half away from zero
+    so the minimum (exactly 0.5 after rescaling) lands on category 1.
     """
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
+    lo = values.min(axis=0)
+    hi = values.max(axis=0)
+    if np.any(hi == lo):
         raise DataError("degenerate sample: indicator has zero range")
     scaled = (values - lo) / (hi - lo + 0.01) * npoints + 0.5
     return np.floor(scaled + 0.5)
@@ -152,11 +152,8 @@ def _draw_once(config: SimulationConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     eta3 = TRUE_VALUES["beta32"] * eta2 + zeta[:, 2]
     latents = np.column_stack([xi, eta1, eta2, eta3])
     errors = rng.standard_normal((n, 6 * len(BLOCK_LOADINGS)))
-    indicators = np.empty_like(errors)
-    for j in range(6):
-        for h, lam in enumerate(BLOCK_LOADINGS):
-            col = 3 * j + h
-            indicators[:, col] = lam * latents[:, j] + np.sqrt(1.0 - lam**2) * errors[:, col]
+    lam = np.tile(BLOCK_LOADINGS, 6)
+    indicators = lam * np.repeat(latents, len(BLOCK_LOADINGS), axis=1) + np.sqrt(1.0 - lam**2) * errors
     return indicators, latents
 
 
@@ -170,9 +167,7 @@ def generate_dataset(config: SimulationConfig, rng) -> tuple[DataMatrix, np.ndar
     for _ in range(100):
         indicators, latents = _draw_once(config, rng)
         try:
-            codes = np.column_stack(
-                [rescale_to_points(indicators[:, k], config.npoints) for k in range(18)]
-            )
+            codes = rescale_to_points(indicators, config.npoints)
         except DataError:
             continue
         data = DataMatrix(

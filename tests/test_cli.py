@@ -409,3 +409,27 @@ class TestOutputContract:
         assert code == 2
         assert f"n_boot must be at least 2, got {n_boot}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--max-iter", "-3"),
+                                             ("--tol", "0"), ("--tol", "-1")])
+    @pytest.mark.parametrize("mode", ["pls", "opls"])
+    def test_iteration_limits_are_input_errors(self, tmp_path, rng, capsys, flag, value, mode):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        out = tmp_path / "out"
+        code = main(["fit", "--model", str(model_path), "--data", str(data_path), "--mode", mode,
+                     "--bootstrap", "5", flag, value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "polychoric"])
+    def test_repeated_header_column_is_input_error(self, tmp_path, rng, capsys, command):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        lines = data_path.read_text().splitlines()
+        path = tmp_path / "repeated.csv"
+        path.write_text("\n".join(f"{line},{line.split(',')[0]}" for line in lines) + "\n")
+        model = ["--model", str(model_path)] if command == "fit" else []
+        code = main([command, *model, "--data", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: repeated data column 'x1'\n"

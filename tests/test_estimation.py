@@ -281,6 +281,15 @@ class TestBootstrap:
         with pytest.raises(EstimationError, match=f"n_boot must be at least 2, got {n_boot}"):
             bootstrap_inner(data, model, mode="pls", n_boot=n_boot)
 
+    def test_iteration_limits_rejected_before_any_replicate(self, rng, monkeypatch):
+        model = chain_model()
+        data = ordinal_dataset(model, rng, n=80)
+        calls = []
+        monkeypatch.setattr(estimation, "_count_polychoric", lambda *args: calls.append(None))
+        with pytest.raises(EstimationError, match="max_iter must be at least 1"):
+            bootstrap_inner(data, model, mode="opls", n_boot=4, max_iter=0)
+        assert calls == []
+
     def test_fewer_than_two_successes_rejected(self, rng, monkeypatch):
         model = chain_model()
         data = ordinal_dataset(model, rng, n=80)

@@ -226,6 +226,12 @@ class TestStreamedIngest:
         with pytest.raises(DataError, match="unexpected data column 'zz'"):
             load_data(io.StringIO("x1,x2,y1,zz\n1,2,3,\n"), self._model())
 
+    def test_repeated_column_before_bad_cell(self):
+        with pytest.raises(DataError, match="repeated data column 'x1'"):
+            load_data(io.StringIO("x1,x2,y1,x1\n1,2,3,oops\n"), self._model())
+        with pytest.raises(DataError, match="repeated data column 'v'"):
+            load_csv(io.StringIO("v, v\nx,1\n"))
+
     def test_header_only_or_empty(self):
         for text in ("", "\n\n", "x1,x2,y1\n", "x1,x2,y1\n , , \n\n"):
             with pytest.raises(DataError, match="header row and at least one data row"):

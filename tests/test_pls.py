@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import ECSI_MODEL, factor_dataset, random_recursive_model
-from oplspm.errors import ConvergenceError, DataError
+from oplspm.errors import ConvergenceError, DataError, EstimationError
+from oplspm.estimation import bootstrap_inner
 from oplspm.model import DataMatrix, build_model, parse_model
 from oplspm.pls import _matrix_step, initial_weights, matrix_pls_fit, score_based_pls_fit
 from oplspm.polychoric import pearson_matrix
@@ -158,6 +159,42 @@ class TestMatrixEngine:
         )
         with pytest.raises(DataError, match="positive definite"):
             matrix_pls_fit(bad, model)
+
+
+class TestIterationLimits:
+    """Every engine rejects an iteration cap below 1 and a tolerance that is not finite and positive."""
+
+    ENGINES = {
+        "matrix": lambda data, model, kw: matrix_pls_fit(pearson_matrix(data), model, **kw),
+        "score": lambda data, model, kw: score_based_pls_fit(data, model, **kw),
+        "bootstrap": lambda data, model, kw: bootstrap_inner(data, model, n_boot=4, **kw),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+            ({"max_iter": -3}, "max_iter must be at least 1, got -3"),
+            ({"tol": 0.0}, "tol must be a finite positive number, got 0.0"),
+            ({"tol": -1.0}, "tol must be a finite positive number, got -1.0"),
+            ({"tol": np.nan}, "tol must be a finite positive number, got nan"),
+            ({"tol": np.inf}, "tol must be a finite positive number, got inf"),
+        ],
+    )
+    def test_rejected(self, rng, engine, limits, message):
+        model = three_block_model()
+        data = factor_dataset(model, rng)
+        with pytest.raises(EstimationError) as err:
+            self.ENGINES[engine](data, model, limits)
+        assert str(err.value) == message
+
+    def test_one_iteration_runs(self, rng):
+        model = three_block_model()
+        data = factor_dataset(model, rng)
+        with pytest.raises(ConvergenceError) as err:
+            score_based_pls_fit(data, model, max_iter=1)
+        assert err.value.trace.iterations == 1
 
 
 class TestEngineEquivalence:

@@ -783,8 +783,8 @@ class TestSymmetries:
         assert np.abs(flipped.values - sigma.values * np.outer(sign, sign)).max() <= 1e-10
 
     @staticmethod
-    def transposed_fits(seed):
-        """``polychoric_pair`` on a random table and on its transpose."""
+    def transposed_fits(seed, order="C"):
+        """``polychoric_pair`` on a random table and on its transpose, both in the given memory order."""
         rng = np.random.default_rng(seed)
         ih, ik = rng.integers(2, 7, 2)
         ts_h = make_ts(np.sort(rng.normal(size=ih - 1)))
@@ -792,8 +792,8 @@ class TestSymmetries:
         counts = rng.integers(0, 30, size=(ih, ik)).astype(float)
         counts[0, 0] += 1
         counts[-1, -1] += 1
-        fit = polychoric_pair(ContingencyTable(counts), ts_h, ts_k)
-        transposed = polychoric_pair(ContingencyTable(counts.T.copy()), ts_k, ts_h)
+        fit = polychoric_pair(ContingencyTable(np.array(counts, order=order)), ts_h, ts_k)
+        transposed = polychoric_pair(ContingencyTable(np.array(counts.T, order=order)), ts_k, ts_h)
         return fit, transposed
 
     @given(st.integers(0, 2**32 - 1))
@@ -807,6 +807,14 @@ class TestSymmetries:
         # a solve in the orientation it was given put these 1.02e-12 and 2.7e-12 apart
         fit, transposed = self.transposed_fits(seed)
         assert transposed.rho == fit.rho
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    @example(981455)
+    @example(2161)
+    def test_memory_order_does_not_move_rho(self, seed):
+        fits = [*self.transposed_fits(seed), *self.transposed_fits(seed, order="F")]
+        assert len({fit.rho for fit in fits}) == 1
 
 
 class TestPearsonMatrix:
