@@ -21,9 +21,10 @@ rejected if the inner graph has a cycle.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice
+from functools import cached_property
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -70,21 +71,25 @@ class PathModel:
     def n_latents(self) -> int:
         return len(self.latent_names)
 
-    @property
+    @cached_property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
 
-    @property
+    @cached_property
     def indicator_names(self) -> tuple[str, ...]:
         return tuple(ind for block in self.blocks for ind in block)
 
-    @property
+    @cached_property
     def n_indicators(self) -> int:
         return sum(self.block_sizes)
 
+    @cached_property
+    def _block_slices(self) -> tuple[slice, ...]:
+        stops = accumulate(self.block_sizes)
+        return tuple(slice(stop - size, stop) for size, stop in zip(self.block_sizes, stops))
+
     def block_slice(self, j: int) -> slice:
-        start = sum(self.block_sizes[:j])
-        return slice(start, start + self.block_sizes[j])
+        return self._block_slices[j]
 
     def weight_pattern(self) -> np.ndarray:
         """0/1 indicator matrix of admissible weights (K x latents)."""
@@ -297,23 +302,17 @@ def _filled(row) -> bool:
     return any(cell.strip() for cell in row)
 
 
-@contextmanager
-def _csv_reader(source):
-    if hasattr(source, "read"):
-        yield csv.reader(source)
-    else:
-        with open(source, encoding="utf-8") as handle:
-            yield csv.reader(handle)
-
-
 def _parse_cells(header, rows, first_row):
-    """Per-cell conversion of one chunk, dropping whitespace-only rows.
+    """Conversion of csv rows, dropping whitespace-only rows.
 
     Row numbers in messages count the header and every non-blank row, the
-    first row of ``rows`` being number ``first_row``. Returns the values and
-    the number of non-blank rows.
+    first row of ``rows`` being number ``first_row``.
     """
     rows = [row for row in rows if _filled(row)]
+    try:  # float() of every cell at once; a chunk that fails goes cell by cell
+        return np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError:
+        pass
     values = np.empty((len(rows), len(header)))
     for i, row in enumerate(rows, start=first_row):
         if len(row) != len(header):
@@ -328,36 +327,32 @@ def _parse_cells(header, rows, first_row):
                 raise DataError(
                     f"non-numeric value '{cell}' at row {i}, column '{header[j]}'"
                 ) from None
-    return values, len(rows)
+    return values
 
 
-def _chunk_values(header, rows, first_row):
-    # One conversion for the whole chunk; only a chunk that fails it (a bad
-    # cell, a short row, a whitespace-only row) goes through the cell loop,
-    # which raises the message naming the offending row.
-    k = len(header)
-    if set(map(len, rows)) == {k}:
-        try:
-            cells = map(float, chain.from_iterable(rows))
-            flat = np.fromiter(cells, dtype=float, count=len(rows) * k)
-        except ValueError:
-            pass
-        else:
-            return flat.reshape(len(rows), k), len(rows)
-    return _parse_cells(header, rows, first_row)
+def _plain_values(lines, width):
+    """Raw lines through numpy's C reader; None unless each holds ``width`` unquoted numbers."""
+    # The reader converts a cell as float() does, and rejects some tokens float() takes.
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if len(values) and values.shape[1] == width else None
 
 
 def _read_values(source, select=None):
     """Stream a header+rows CSV into an N x K float matrix.
 
-    Rows are converted in chunks of ``_CHUNK_ROWS``, so only one chunk of
-    cell strings exists at a time. A repeated header name is rejected, and
-    ``select(header)`` may validate the header and return the column order
-    to keep, before any cell is converted. Returns the header and the values.
+    The header and first data row are read with ``csv``; a repeated header
+    name is rejected, and ``select(header)`` may validate the header and
+    return the column order to keep, before any cell is converted. Later
+    lines go ``_CHUNK_ROWS`` at a time through numpy's reader, and from the
+    first chunk that is not plain numbers on through ``csv`` and the cell
+    loop, whose messages name the row. Returns the header and the values.
     """
-    with _csv_reader(source) as reader:
-        lines = filter(None, reader)  # csv yields [] for an empty line
-        nonblank = (row for row in lines if _filled(row))
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
+    with opened as handle:
+        nonblank = (row for row in csv.reader(handle) if _filled(row))
         header, first = next(nonblank, None), next(nonblank, None)
         if first is None:
             raise DataError("CSV needs a header row and at least one data row")
@@ -365,13 +360,19 @@ def _read_values(source, select=None):
         if len(set(header)) < len(header):
             name = next(name for i, name in enumerate(header) if name in header[:i])
             raise DataError(f"repeated data column '{name}'")
-        order = select(header) if select is not None else None
-        rows = chain([first], lines)
-        blocks, row_no = [], 2
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            values, n = _chunk_values(header, chunk, row_no)
-            blocks.append(values if order is None else values[:, order])
-            row_no += n
+        order = select(header) if select is not None else slice(None)
+        blocks, row_no = [_parse_cells(header, [first], 2)[:, order]], 3
+        while lines := list(islice(handle, _CHUNK_ROWS)):
+            if not any(map(str.strip, lines)):
+                continue  # whitespace-only lines are skipped and not counted
+            if (values := _plain_values(lines, len(header))) is None:
+                rows = csv.reader(chain(lines, handle))
+                while chunk := list(islice(rows, _CHUNK_ROWS)):
+                    blocks.append(_parse_cells(header, chunk, row_no)[:, order])
+                    row_no += len(blocks[-1])
+                break
+            blocks.append(values[:, order])
+            row_no += len(values)
     return header, np.concatenate(blocks)
 
 

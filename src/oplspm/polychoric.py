@@ -99,6 +99,11 @@ class ThresholdSet:
         return mapped
 
 
+def _check_epsilon(epsilon, where=""):
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise DataError(f"{where}smoothing epsilon must be finite and nonnegative, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Two-way count table with zero-cell smoothing.
@@ -117,8 +122,7 @@ class ContingencyTable:
             raise DataError("contingency table must be 2-D")
         if np.any(counts < 0) or np.any(counts != np.round(counts)):
             raise DataError("contingency table counts must be nonnegative integers")
-        if self.epsilon < 0:
-            raise DataError("smoothing epsilon must be nonnegative")
+        _check_epsilon(self.epsilon)
         object.__setattr__(self, "counts", counts)
 
     def smoothed(self) -> np.ndarray:
@@ -503,8 +507,7 @@ def _count_polychoric(codes, categories, columns, epsilon, weights=None):
     pairs = np.array(list(itertools.combinations(range(len(columns)), 2)), dtype=int)
     values = np.eye(len(columns))
     if pairs.size:
-        if epsilon < 0:
-            raise DataError(f"{label(0)}: smoothing epsilon must be nonnegative")
+        _check_epsilon(epsilon, f"{label(0)}: ")
         # the cross-product is symmetric, so a turned pair's block is its turned table
         turned = [_turned(thresholds[h].cuts, thresholds[k].cuts) for h, k in pairs]
         solved = np.where(np.array(turned)[:, None], pairs[:, ::-1], pairs)

@@ -126,11 +126,10 @@ def _overlap_probabilities(alpha, beta, cuts):
     """
     lower_bounds = np.concatenate([[-np.inf], cuts])
     upper_bounds = np.concatenate([cuts, [np.inf]])
-    # in place: these are N x I arrays, the largest of a prediction
-    hi = np.minimum(beta[:, None], upper_bounds[None, :])
-    ndtr(hi, out=hi)
-    lo = np.maximum(alpha[:, None], lower_bounds[None, :])
-    ndtr(lo, out=lo)
+    # Phi(min(beta, u)) is Phi(u) where u < beta, else Phi(beta): one ndtr per endpoint and
+    # bound. The min of the two Phis would differ, as ndtr is not monotone in the last bit.
+    hi = np.where(upper_bounds < beta[:, None], ndtr(upper_bounds), ndtr(beta)[:, None])
+    lo = np.where(lower_bounds > alpha[:, None], ndtr(lower_bounds), ndtr(alpha)[:, None])
     hi -= lo
     return np.clip(hi, 0.0, None, out=hi)
 

@@ -24,7 +24,7 @@ from .distributions import sample_standardized_beta
 from .errors import ConvergenceError, DataError, EstimationError
 from .estimation import fit_correlation_model
 from .model import DataMatrix, PathModel, build_model
-from .polychoric import pearson_matrix, polychoric_matrix
+from .polychoric import _check_epsilon, pearson_matrix, polychoric_matrix
 
 __all__ = [
     "PARAMETERS",
@@ -116,6 +116,7 @@ class SimulationConfig:
             raise DataError("need at least one replication")
         if self.sample_size < 3:
             raise DataError("sample size must be at least 3")
+        _check_epsilon(self.epsilon)
 
 
 def rescale_to_points(values: np.ndarray, npoints: int) -> np.ndarray:

@@ -433,3 +433,41 @@ class TestOutputContract:
         code = main([command, *model, "--data", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == "error: repeated data column 'x1'\n"
+
+
+class TestEpsilonValidation:
+    """A smoothing epsilon that is not a finite number >= 0 is an input error."""
+
+    @staticmethod
+    def argv(command, model_path, data_path):
+        fit = ["fit", "--model", str(model_path), "--data", str(data_path)]
+        return {
+            "polychoric": ["polychoric", "--data", str(data_path)],
+            "fit-opls": [*fit, "--mode", "opls"],
+            "fit-opls-bootstrap": [*fit, "--mode", "opls", "--bootstrap", "5"],
+            "fit-pls": [*fit, "--mode", "pls"],
+            "predict-scores": ["predict-scores", "--model", str(model_path),
+                               "--data", str(data_path)],
+            "simulate": ["simulate", "--reps", "2", "--n", "50"],
+        }[command]
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "command", ["polychoric", "fit-opls", "fit-opls-bootstrap", "predict-scores", "simulate"]
+    )
+    def test_rejected(self, tmp_path, rng, capsys, command, epsilon):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        out = tmp_path / "out"
+        code = main([*self.argv(command, model_path, data_path), "--epsilon", epsilon,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "smoothing epsilon must be finite and nonnegative" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_ignored_by_pls_fit(self, tmp_path, rng, epsilon):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        argv = self.argv("fit-pls", model_path, data_path)
+        assert main([*argv, "--epsilon", epsilon, "--out", str(tmp_path / "out")]) == 0

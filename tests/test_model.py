@@ -1,7 +1,13 @@
+import csv
 import io
+import pickle
+import warnings
+from itertools import chain, islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ECSI_MODEL, random_recursive_model
 from oplspm import model as model_module
@@ -104,6 +110,66 @@ class TestParseModel:
         chi = model.weight_pattern()
         # every indicator belongs to exactly one block
         assert np.array_equal(chi.sum(axis=1), np.ones(model.n_indicators))
+
+
+class TestModelLayout:
+    """The block layout is cached on the model without changing what the model is."""
+
+    @staticmethod
+    def outcome(f):
+        try:
+            return f()
+        except Exception as exc:  # the exception type is the outcome compared
+            return type(exc)
+
+    def layout(self, model):
+        return (
+            model.block_sizes,
+            model.indicator_names,
+            model.n_indicators,
+            [model.block_slice(j) for j in range(-model.n_latents, model.n_latents)],
+        )
+
+    def test_layout_matches_blocks(self, rng):
+        for _ in range(10):
+            model = random_recursive_model(rng)
+            sizes = tuple(len(block) for block in model.blocks)
+            starts = np.cumsum((0, *sizes[:-1]))
+            assert model.block_sizes == sizes
+            assert model.n_indicators == sum(sizes)
+            assert model.indicator_names == tuple(chain.from_iterable(model.blocks))
+            for j, (start, size) in enumerate(zip(starts, sizes)):
+                assert model.block_slice(j) == slice(start, start + size)
+            with pytest.raises(IndexError):
+                model.block_slice(model.n_latents)
+
+    def test_equality_hashing_and_pickling_unchanged(self):
+        model, twin = parse_model(ECSI_MODEL), parse_model(ECSI_MODEL)
+
+        def behaviour():
+            return [
+                self.outcome(lambda: model == model),
+                self.outcome(lambda: model == twin),
+                self.outcome(lambda: hash(model)),
+                self.outcome(lambda: repr(model)),
+            ]
+
+        before = behaviour()
+        layout = self.layout(model)
+        assert behaviour() == before
+        again = pickle.loads(pickle.dumps(model))
+        assert (again.name, again.latent_names, again.blocks) == (
+            model.name, model.latent_names, model.blocks
+        )
+        assert again.exogenous_count == model.exogenous_count
+        assert np.array_equal(again.inner_adjacency, model.inner_adjacency)
+        assert self.layout(again) == layout
+
+    def test_weight_pattern_is_a_fresh_array(self):
+        model = parse_model(ECSI_MODEL)
+        chi = model.weight_pattern()
+        chi[:] = -1.0
+        assert np.array_equal(model.weight_pattern().sum(axis=0), model.block_sizes)
 
 
 class TestLoadData:
@@ -236,3 +302,141 @@ class TestStreamedIngest:
         for text in ("", "\n\n", "x1,x2,y1\n", "x1,x2,y1\n , , \n\n"):
             with pytest.raises(DataError, match="header row and at least one data row"):
                 load_data(io.StringIO(text), self._model())
+
+
+# The parsing path of load_csv/load_data before chunks went through numpy's
+# reader, frozen: every row through csv, each chunk converted with one
+# float() pass, and a chunk that fails it converted cell by cell.
+def _oracle_parse_cells(header, rows, first_row):
+    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    values = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows, start=first_row):
+        if len(row) != len(header):
+            raise DataError(f"row {i}: expected {len(header)} cells, got {len(row)}")
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if not cell:
+                raise DataError(f"missing value at row {i}, column '{header[j]}'")
+            try:
+                values[i - first_row, j] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value '{cell}' at row {i}, column '{header[j]}'"
+                ) from None
+    return values, len(rows)
+
+
+def _oracle_chunk_values(header, rows, first_row):
+    k = len(header)
+    if set(map(len, rows)) == {k}:
+        try:
+            cells = map(float, chain.from_iterable(rows))
+            flat = np.fromiter(cells, dtype=float, count=len(rows) * k)
+        except ValueError:
+            pass
+        else:
+            return flat.reshape(len(rows), k), len(rows)
+    return _oracle_parse_cells(header, rows, first_row)
+
+
+def oracle_read_values(source, select=None):
+    reader = csv.reader(source)
+    lines = filter(None, reader)
+    nonblank = (row for row in lines if any(cell.strip() for cell in row))
+    header, first = next(nonblank, None), next(nonblank, None)
+    if first is None:
+        raise DataError("CSV needs a header row and at least one data row")
+    header = [cell.strip() for cell in header]
+    if len(set(header)) < len(header):
+        name = next(name for i, name in enumerate(header) if name in header[:i])
+        raise DataError(f"repeated data column '{name}'")
+    order = select(header) if select is not None else None
+    rows = chain([first], lines)
+    blocks, row_no = [], 2
+    while chunk := list(islice(rows, 8192)):
+        values, n = _oracle_chunk_values(header, chunk, row_no)
+        blocks.append(values if order is None else values[:, order])
+        row_no += n
+    return header, np.concatenate(blocks)
+
+
+PLAIN = ["1", "2", "3", "7", "10", "4.5", "-2", "1e2"]
+TRICKY = [
+    " 3", "3 ", " 3 ", "\t4", '"3"', '"3', "1_0", "\u0661", "\xa03", "3#x", "nan(1)", "inf",
+    "1e-400", "-0", "", " ", "x",
+]
+HEADERS = ("x1,x2,y1", " y1 ,x1,x2 ")
+
+
+@st.composite
+def csv_texts(draw):
+    width = 3
+    plain_row = st.lists(st.sampled_from(PLAIN), min_size=width, max_size=width)
+    tricky_row = st.lists(
+        st.sampled_from(PLAIN + TRICKY), min_size=width - 1, max_size=width + 1
+    )
+    line = st.one_of(  # plain rows twice, so that whole chunks reach numpy's reader
+        plain_row.map(",".join),
+        plain_row.map(",".join),
+        tricky_row.map(",".join),
+        st.sampled_from(["", "  ", "\t", " , , "]),
+    )
+    body = draw(st.lists(line, min_size=0, max_size=12))
+    lead = draw(st.lists(st.sampled_from(["", " "]), max_size=2))
+    header = draw(st.sampled_from(HEADERS))
+    lines = [*lead, header, *body]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map("".join, zip(lines, ends)))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestLoaderOracle:
+    """Plain chunks through numpy's reader: the frozen path's values and messages."""
+
+    MODEL = parse_model(
+        "latent a exogenous\nlatent b endogenous\n"
+        "indicators a: x1 x2\nindicators b: y1\npath a -> b\n"
+    )
+
+    @staticmethod
+    def result(load, text, chunk_rows, reader):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_CHUNK_ROWS", chunk_rows)
+            if reader is not None:
+                patch.setattr(model_module, "_read_values", reader)
+            try:
+                return load(io.StringIO(text)).values
+            except DataError as exc:
+                return str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts(), chunk_rows=st.integers(2, 3))
+    def test_matches_frozen_loader(self, text, chunk_rows):
+        loads = (load_csv, lambda source: load_data(source, self.MODEL))
+        for load in loads:
+            got = self.result(load, text, chunk_rows, None)
+            want = self.result(load, text, chunk_rows, oracle_read_values)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert isinstance(got, np.ndarray), got
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_quoted_first_row_then_plain_chunks(self):
+        text = "x1,x2,y1\n" + '"1",2,3\n' + "4,5,6\n" * 5 + "-0,1e-400,7\n"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_CHUNK_ROWS", 2)
+            data = load_csv(io.StringIO(text))
+        assert np.array_equal(data.values, [[1, 2, 3], *[[4, 5, 6]] * 5, [0, 0, 7]])
+        assert np.array_equal(np.signbit(data.values[-1]), [True, False, False])
+
+    def test_blank_chunk_is_skipped_without_warning(self):
+        # the reader warns on a chunk with no data; such a chunk is never handed to it
+        text = "x1,x2,y1\n1,2,3\n" + "\n" * 4 + " \n\t\n" + "4,5,6\n" + "7,8,x\n"
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            patch.setattr(model_module, "_CHUNK_ROWS", 2)
+            with pytest.raises(DataError, match="non-numeric value 'x' at row 4, column 'y1'"):
+                load_csv(io.StringIO(text))

@@ -547,6 +547,16 @@ class TestCountPass:
         with pytest.raises(DataError, match="pair \\('a', 'b'\\): smoothing epsilon"):
             polychoric_matrix(data, epsilon=-0.1)
 
+    @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf"), -float("inf")])
+    def test_epsilon_must_be_finite_and_nonnegative(self, rng, epsilon):
+        data = DataMatrix(
+            rng.integers(1, 4, size=(30, 3)).astype(float), ("a", "b", "c"), ("ordinal",) * 3
+        )
+        with pytest.raises(DataError, match="smoothing epsilon must be finite and nonnegative"):
+            polychoric_matrix(data, epsilon=epsilon)
+        with pytest.raises(DataError, match="smoothing epsilon must be finite and nonnegative"):
+            ContingencyTable(np.ones((2, 2)), epsilon=epsilon)
+
     def test_crosstab_counts(self):
         table = crosstab(np.array([1, 2, 2, 3]), np.array([2, 1, 1, 2]), 3, 2)
         assert np.array_equal(table, [[0, 1], [2, 0], [0, 1]])

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from conftest import ordinal_dataset, random_recursive_model
+from conftest import ECSI_MODEL, ecsi_dataset, ordinal_dataset, random_recursive_model
 from oplspm.distributions import std_normal_cdf
 from oplspm.errors import DataError
 from oplspm.estimation import fit_correlation_model
-from oplspm.model import DataMatrix, build_model
+from oplspm.model import DataMatrix, build_model, parse_model
 from oplspm.pls import score_based_pls_fit
 from oplspm.polychoric import ThresholdSet, estimate_thresholds, pearson_matrix, polychoric_matrix
 from oplspm.scores import (
     _overlap_probabilities,
+    _subject_intervals,
     concordance_table,
     direct_scores,
     latent_thresholds,
@@ -171,6 +173,76 @@ class TestPredictCategories:
         fit, thresholds, lt = fit_opls(data, model)
         with pytest.raises(DataError, match="unknown prediction rule"):
             predict_categories(data, lt, thresholds, fit.weights.standardized, model, rule="max")
+
+
+def overlap_oracle(alpha, beta, cuts):
+    """The mode rule's overlaps with Phi taken of every clipped endpoint, frozen."""
+    lower_bounds = np.concatenate([[-np.inf], cuts])
+    upper_bounds = np.concatenate([cuts, [np.inf]])
+    hi = ndtr(np.minimum(beta[:, None], upper_bounds[None, :]))
+    lo = ndtr(np.maximum(alpha[:, None], lower_bounds[None, :]))
+    return np.clip(hi - lo, 0.0, None)
+
+
+class TestModeOverlaps:
+    """One ndtr per endpoint and per bound gives the per-element overlaps bit for bit."""
+
+    CUTS = np.array([-2.3, -0.8, 0.0, 0.3, 1.1, 3.9])
+
+    def assert_equal_to_oracle(self, alpha, beta, cuts):
+        got = _overlap_probabilities(alpha, beta, cuts)
+        assert np.array_equal(got, overlap_oracle(alpha, beta, cuts))
+
+    def test_random_intervals(self, rng):
+        alpha = rng.uniform(-5.5, 3.0, size=2000)
+        beta = alpha + rng.exponential(1.0, size=2000)
+        self.assert_equal_to_oracle(alpha, beta, self.CUTS)
+
+    def test_endpoints_on_cuts_and_degenerate_intervals(self):
+        points = np.concatenate([self.CUTS, [-0.0, np.nextafter(0.3, 1), np.nextafter(1.1, 0)]])
+        alpha, beta = np.meshgrid(points, points)
+        alpha, beta = alpha.ravel(), beta.ravel()  # includes alpha == beta and alpha > beta
+        self.assert_equal_to_oracle(alpha, beta, self.CUTS)
+
+    def test_endpoints_beyond_four_and_infinite(self):
+        ends = np.array([-np.inf, -9.0, -4.5, -4.0, 4.0, 4.5, 9.0, np.inf])
+        alpha, beta = np.meshgrid(ends, ends)
+        self.assert_equal_to_oracle(alpha.ravel(), beta.ravel(), self.CUTS)
+
+    def test_where_ndtr_steps_down(self):
+        # ndtr is not monotone in the last bit, so Phi(min(beta, u)) is not the
+        # min of Phi(beta) and Phi(u) where beta is the float just above a cut u
+        x = (np.array([0.5]).view(np.int64) + np.arange(20000)).view(np.float64)
+        down = np.flatnonzero(np.diff(ndtr(x)) < 0)
+        if not down.size:
+            pytest.skip("ndtr is monotone on this grid")
+        beta = x[down + 1]
+        self.assert_equal_to_oracle(beta - 1.0, beta, x[down])
+        self.assert_equal_to_oracle(x[down], x[down] + 1.0, beta)
+
+    def test_swapped_weight_intervals(self, rng, caplog):
+        model = two_block_model()
+        data = ordinal_dataset(model, rng, n=300, npoints=5)
+        _, thresholds = polychoric_matrix(data)
+        block = model.block_slice(0)
+        weights = np.array([0.9, -0.6])  # a negative weight reverses some intervals
+        alpha, beta = _subject_intervals(data, block, thresholds, weights, "a")
+        assert "reversed by negative weights; endpoints swapped" in caplog.text
+        cuts = weights @ np.vstack([thresholds[k].cuts for k in range(block.start, block.stop)])
+        self.assert_equal_to_oracle(alpha, beta, np.sort(cuts))
+        self.assert_equal_to_oracle(beta, alpha, np.sort(cuts))
+
+    def test_mode_rule_on_ecsi_sample(self, rng):
+        model = parse_model(ECSI_MODEL)
+        data = ecsi_dataset(rng, n=400)
+        fit, thresholds, lt = fit_opls(data, model)
+        sw = fit.weights.standardized
+        pred = predict_categories(data, lt, thresholds, sw, model, rule="mode")
+        for j, latent in enumerate(model.latent_names):
+            block = model.block_slice(j)
+            alpha, beta = _subject_intervals(data, block, thresholds, sw[block, j], latent)
+            expected = np.argmax(overlap_oracle(alpha, beta, lt.cuts[j]), axis=1) + 1
+            assert np.array_equal(pred[:, j], expected), latent
 
 
 class TestRawScaleAndConcordance:

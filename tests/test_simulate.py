@@ -31,6 +31,9 @@ class TestConfig:
             {"npoints": 6},
             {"replications": 0},
             {"sample_size": 2},
+            {"epsilon": -1.0},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
         ],
     )
     def test_validation(self, kw):
