@@ -127,7 +127,8 @@ def _load_table(path: str, loader, **kw):
 
 def cmd_fit(args):
     model = _load_model(args.model)
-    kinds = None if args.kinds == "infer" else args.kinds
+    # polychoric correlations need ordinal codes; Pearson takes any column
+    kinds = "ordinal" if args.mode == "opls" else None
     data = _load_table(args.data, load_data, model=model, kinds=kinds)
     if args.mode == "opls":
         sigma, _ = polychoric_matrix(data, epsilon=args.epsilon, repair_pd=args.repair_pd)
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--mode", choices=["pls", "opls"], default="pls")
     p_fit.add_argument("--bootstrap", type=int, default=0, metavar="N",
                        help="bootstrap replicates for inner-coefficient s.e. (extension)")
-    p_fit.add_argument("--kinds", choices=["infer", "ordinal", "interval"], default="infer")
     p_fit.add_argument("--seed", type=int, default=0,
                        help="bootstrap random seed (recorded in manifest)")
     p_fit.set_defaults(func=cmd_fit)

@@ -302,13 +302,31 @@ def _filled(row) -> bool:
     return any(cell.strip() for cell in row)
 
 
+def _csv_rows(lines, first_row):
+    """The csv rows of ``lines`` that are not whitespace-only, the first being row ``first_row``.
+
+    A line ``csv`` cannot split, such as one with a bare carriage return
+    outside quotes, is a DataError naming the row it would have been.
+    """
+    reader, row_no = csv.reader(lines), first_row
+    while True:
+        try:
+            row = next(reader, None)
+        except csv.Error as exc:
+            raise DataError(f"row {row_no}: unreadable CSV line ({exc})") from None
+        if row is None:
+            return
+        if _filled(row):
+            row_no += 1
+            yield row
+
+
 def _parse_cells(header, rows, first_row):
-    """Conversion of csv rows, dropping whitespace-only rows.
+    """Conversion of non-blank csv rows.
 
     Row numbers in messages count the header and every non-blank row, the
     first row of ``rows`` being number ``first_row``.
     """
-    rows = [row for row in rows if _filled(row)]
     try:  # float() of every cell at once; a chunk that fails goes cell by cell
         return np.array(rows, dtype=float).reshape(len(rows), len(header))
     except ValueError:
@@ -352,7 +370,7 @@ def _read_values(source, select=None):
     """
     opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
     with opened as handle:
-        nonblank = (row for row in csv.reader(handle) if _filled(row))
+        nonblank = _csv_rows(handle, 1)
         header, first = next(nonblank, None), next(nonblank, None)
         if first is None:
             raise DataError("CSV needs a header row and at least one data row")
@@ -366,7 +384,7 @@ def _read_values(source, select=None):
             if not any(map(str.strip, lines)):
                 continue  # whitespace-only lines are skipped and not counted
             if (values := _plain_values(lines, len(header))) is None:
-                rows = csv.reader(chain(lines, handle))
+                rows = _csv_rows(chain(lines, handle), row_no)
                 while chunk := list(islice(rows, _CHUNK_ROWS)):
                     blocks.append(_parse_cells(header, chunk, row_no)[:, order])
                     row_no += len(blocks[-1])

@@ -230,34 +230,21 @@ def _check_table(table: ContingencyTable, thresholds_h: ThresholdSet, thresholds
         raise DataError("degenerate table: all mass in one row or column")
 
 
-def _padded_limits(cuts, size):
-    """Each pair's category limits -inf, cuts, +inf, padded with +inf to ``size`` + 1 entries."""
-    limits = np.full((len(cuts), size + 1), np.inf)
-    limits[:, 0] = -np.inf
-    for p, c in enumerate(cuts):
-        limits[p, 1 : 1 + c.size] = c
-    return limits
-
-
 def _turned(cuts_h, cuts_k):
     """Whether a pair is solved turned: its rows' (cut count, cuts) sort after its columns' (a tie is not)."""
     return (cuts_h.size, cuts_h.tolist()) > (cuts_k.size, cuts_k.tolist())
 
 
 def _solve_pairs(weights, cuts_h, cuts_k):
-    """Two-step ML correlation of many pair tables at once.
+    """Two-step ML correlation of many pair tables of one shape at once.
 
-    ``weights[p]`` is pair p's smoothed count table and ``cuts_h[p]``,
-    ``cuts_k[p]`` its interior thresholds. Callers turn each pair with
-    ``_turned`` first, so a table and its transpose give the same result;
-    the tables must be C-ordered, as the loglikelihood sums run in memory
-    order. Every pair is padded to one corner grid:
-    ``weights`` is stacked at the largest table shape with zero counts in
-    the padded cells, and padded limits are +inf, so they add exactly 0 to
-    the loglikelihood and its derivatives. A pair's result does not depend
-    on which pairs share its batch when the padded shape is the same; a
-    different padded shape reorders the sums, which can move rho by about
-    1e-15.
+    ``weights`` is n x R x C: ``weights[p]`` is pair p's smoothed count
+    table, and ``cuts_h[p]``, ``cuts_k[p]`` its R - 1 and C - 1 interior
+    thresholds. Callers turn each pair with ``_turned`` first, so a table
+    and its transpose give the same result; the tables must be C-ordered,
+    as the loglikelihood sums run in memory order. A pair's result depends
+    only on its own table and thresholds, not on the pairs that share its
+    call.
 
     Each pair starts cold at the Pearson correlation of its category
     indices under its own table. Newton steps on the analytic score
@@ -274,32 +261,29 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
     n, rows, cols = weights.shape
-    lim_h, lim_k = _padded_limits(cuts_h, rows), _padded_limits(cuts_k, cols)
+    cuts_h, cuts_k = np.stack(cuts_h), np.stack(cuts_k)
+    lim_h, lim_k = (np.pad(c, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf)) for c in (cuts_h, cuts_k))
 
     # CDF corners on an infinite limit are marginals fixed by the
-    # thresholds; only the finite interior corners depend on rho. A pair's
-    # interior corners are evaluated as one block sharing its rho, from its
-    # row limits against its column limits; padded limits take a dummy 0
-    # and their corners are masked back.
-    fixed, finite = _bvn_cdf_infinite(lim_h[:, :, None], lim_k[:, None, :])
+    # thresholds; only the interior corners, at the cuts, depend on rho. A
+    # pair's interior corners are evaluated as one block sharing its rho,
+    # from its row cuts against its column cuts.
+    fixed, _ = _bvn_cdf_infinite(lim_h[:, :, None], lim_k[:, None, :])
     inner = np.s_[:, 1:-1, 1:-1]
-    finite = finite[inner]
-    corner_h = np.where(np.isfinite(lim_h), lim_h, 0.0)[:, 1:-1, None]
-    corner_k = np.where(np.isfinite(lim_k), lim_k, 0.0)[:, None, 1:-1]
+    corner_h, corner_k = cuts_h[:, :, None], cuts_k[:, None, :]
 
     def evaluate(active, rho, derivatives):
         # Loglikelihood (and score, curvature) of the active pairs at rho.
-        h, k, r, mask = corner_h[active], corner_k[active], rho[active], finite[active]
+        h, k, r = corner_h[active], corner_k[active], rho[active]
         cdf = fixed[active]
-        np.copyto(cdf[inner], _bvn_cdf_finite(h, k, r), where=mask)
+        cdf[inner] = _bvn_cdf_finite(h, k, r)
         probs = np.diff(np.diff(cdf, axis=1), axis=2)
         w = weights[active]
         loglik = np.sum(w * np.log(np.maximum(probs, _LOG_FLOOR)), axis=(1, 2))
         if not derivatives:
             return loglik
         d1, d2 = np.zeros((2, *cdf.shape))
-        for d, value in zip((d1, d2), _bvn_pdf_drho(h, k, r[:, None, None])):
-            np.copyto(d[inner], value, where=mask)
+        d1[inner], d2[inner] = _bvn_pdf_drho(h, k, r[:, None, None])
         dp = np.diff(np.diff(d1, axis=1), axis=2)
         d2p = np.diff(np.diff(d2, axis=1), axis=2)
         # floored cells are flat in rho, so they drop out of the derivatives
@@ -312,7 +296,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         curvature = np.sum(w * (d2p / probs - ratio * ratio), axis=(1, 2))
         return loglik, score, curvature, floored
 
-    # index correlations (padded cells weigh nothing), +/-1 when concordant
+    # index correlations, +/-1 when concordant
     p = weights / weights.sum(axis=(1, 2), keepdims=True)
     d_h = np.arange(rows)[:, None] - np.sum(p * np.arange(rows)[:, None], axis=(1, 2), keepdims=True)
     d_k = np.arange(cols) - np.sum(p * np.arange(cols), axis=(1, 2), keepdims=True)
@@ -373,10 +357,8 @@ def _bound_ceiling(weights, lim_h, lim_k, bound):
     a, b = lim_h[:, :-1, None], lim_h[:, 1:, None]
     c, d = lim_k[:, None, :-1], lim_k[:, None, 1:]
     s = np.sqrt(2.0 * (1.0 - RHO_BOUND))
-    # a padded cell's inf - inf gives nan, which fmin passes over for its zero marginal
-    with np.errstate(invalid="ignore"):
-        upper, lower = (b - c, d - a) if bound > 0 else (b + d, -(a + c))
-    cap = np.fmin(np.fmin(ndtr(upper / s), ndtr(lower / s)), np.minimum(ndtr(b) - ndtr(a), ndtr(d) - ndtr(c)))
+    upper, lower = (b - c, d - a) if bound > 0 else (b + d, -(a + c))
+    cap = np.minimum(np.minimum(ndtr(upper / s), ndtr(lower / s)), np.minimum(ndtr(b) - ndtr(a), ndtr(d) - ndtr(c)))
     return np.sum(weights * np.log(cap + _CEILING_MARGIN), axis=(1, 2))
 
 
@@ -446,23 +428,25 @@ def _code_gram(codes, offsets, width, weights=None) -> np.ndarray:
 
 
 def _pair_tables(gram, index, pairs, epsilon):
-    """Smoothed count tables of all pairs, stacked at the largest row and column counts.
+    """Smoothed count tables of the pairs, stacked by table shape.
 
     ``index[k]`` holds the cross-product rows of column k's categories, in
     category order, and pair (h, k)'s table is the block of ``gram`` at
-    rows ``index[h]`` and columns ``index[k]``. Empty cells hold
-    ``epsilon``; padded cells are gathered from a zero row and column
-    appended to the smoothed cross-product, so they hold zero counts.
+    rows ``index[h]`` and columns ``index[k]``; empty cells hold
+    ``epsilon``. Returns one ``(members, tables)`` per table shape, where
+    ``members`` are the positions in ``pairs`` of the pairs of that shape,
+    in order, and ``tables`` their stacked tables.
     """
-    smoothed = np.pad(np.where(gram == 0, epsilon, gram), (0, 1))
-    sizes = np.array([ix.size for ix in index])
-    padded = np.full((sizes.size, sizes.max()), gram.shape[0])
-    for k, ix in enumerate(index):
-        padded[k, : ix.size] = ix
-    h, k = pairs.T
-    rows = padded[h, : sizes[h].max()]
-    cols = padded[k, : sizes[k].max()]
-    return smoothed[rows[:, :, None], cols[:, None, :]]
+    smoothed = np.where(gram == 0, epsilon, gram)
+    groups = {}
+    for p, (h, k) in enumerate(pairs):
+        groups.setdefault((index[h].size, index[k].size), []).append(p)
+    out = []
+    for members in groups.values():
+        rows = np.array([index[h] for h, _ in pairs[members]])
+        cols = np.array([index[k] for _, k in pairs[members]])
+        out.append((np.array(members), smoothed[rows[:, :, None], cols[:, None, :]]))
+    return out
 
 
 def _count_polychoric(codes, categories, columns, epsilon, weights=None):
@@ -474,7 +458,8 @@ def _count_polychoric(codes, categories, columns, epsilon, weights=None):
     read off the weighted one-hot cross-product: each column's marginal
     counts from its diagonal, with the categories of zero count collapsed
     away, give its thresholds, and its off-diagonal blocks give the pair
-    tables. Without weights no category has zero count.
+    tables, solved one table shape at a time. Without weights no category
+    has zero count.
 
     Returns the K x K values, with a unit diagonal, and the thresholds.
 
@@ -511,11 +496,14 @@ def _count_polychoric(codes, categories, columns, epsilon, weights=None):
         # the cross-product is symmetric, so a turned pair's block is its turned table
         turned = [_turned(thresholds[h].cuts, thresholds[k].cuts) for h, k in pairs]
         solved = np.where(np.array(turned)[:, None], pairs[:, ::-1], pairs)
-        tables = _pair_tables(gram, index, solved, epsilon)
+        groups = _pair_tables(gram, index, solved, epsilon)
         del gram  # not needed by the solve, whose working arrays set the memory peak
-        rho, _, converged = _solve_pairs(
-            tables, [thresholds[h].cuts for h, _ in solved], [thresholds[k].cuts for _, k in solved]
-        )
+        rho, converged = np.empty(len(pairs)), np.empty(len(pairs), dtype=bool)
+        for members, tables in groups:
+            h, k = solved[members].T
+            rho[members], _, converged[members] = _solve_pairs(
+                tables, [thresholds[i].cuts for i in h], [thresholds[i].cuts for i in k]
+            )
         if not converged.all():
             p = int(np.argmin(converged))
             raise ConvergenceError(f"{label(p)}: {_NOT_CONVERGED}", best=float(rho[p]))

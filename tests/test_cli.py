@@ -77,6 +77,22 @@ class TestFitCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["mode"] == "opls"
 
+    def test_opls_fit_reads_ordinal_codes(self, tmp_path, rng, capsys):
+        _, data, model_path, _ = write_inputs(tmp_path, rng)
+        path = tmp_path / "mixed.csv"
+        values = data.values.copy()
+        values[:, 2] += 0.5  # y1 is not an integer code
+        path.write_text(",".join(data.columns) + "\n"
+                        + "".join(",".join(map(str, row)) + "\n" for row in values.tolist()))
+        fit = ["fit", "--model", str(model_path), "--data", str(path)]
+        assert main([*fit, "--mode", "opls", "--out", str(tmp_path / "opls")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: ordinal column 'y1' must hold integer codes >= 1\n"
+        # Pearson correlations take the column as interval
+        assert main([*fit, "--mode", "pls", "--out", str(tmp_path / "pls")]) == 0
+        with pytest.raises(SystemExit):
+            main([*fit, "--kinds", "interval", "--out", str(tmp_path / "kinds")])
+
     def test_bootstrap_columns(self, tmp_path, rng):
         _, _, model_path, data_path = write_inputs(tmp_path, rng)
         out = tmp_path / "out"

@@ -303,6 +303,20 @@ class TestStreamedIngest:
             with pytest.raises(DataError, match="header row and at least one data row"):
                 load_data(io.StringIO(text), self._model())
 
+    def test_bare_carriage_return_names_row(self):
+        # a stream is split at "\n" only, so csv sees a bare "\r" inside a line
+        with pytest.raises(DataError, match="^row 1: unreadable CSV line"):
+            load_csv(io.StringIO("a,b\r1,2\r3,4\r5,6\r"))
+        with pytest.raises(DataError, match="^row 1: unreadable CSV line"):
+            load_data(io.StringIO("x1,x2,y1\r1,2,3\r4,5,6\r7,8,9\r"), self._model())
+        # a stray "\r" in a cell, after a blank line and in a later chunk
+        rows = self._rows(model_module._CHUNK_ROWS + 20)
+        rows[-3] = "1,2\r,3"
+        with pytest.raises(DataError, match=f"^row {len(rows) - 1}: unreadable CSV line"):
+            load_data(io.StringIO("x1,x2,y1\n\n" + "\n".join(rows) + "\n"), self._model())
+        with pytest.raises(DataError, match="^row 3: unreadable CSV line"):
+            load_csv(io.StringIO("a,b\n1,2\n3\r,4\n5,6\n"))
+
 
 # The parsing path of load_csv/load_data before chunks went through numpy's
 # reader, frozen: every row through csv, each chunk converted with one

@@ -43,12 +43,20 @@ def make_ts(cuts, n_cat=None):
 
 
 def count_tables(codes, thresholds, pairs, epsilon):
-    """Pair tables of internal codes from the one-hot cross-product, as polychoric_matrix does."""
+    """Pair tables of internal codes from the one-hot cross-product, as polychoric_matrix does.
+
+    They are gathered by table shape and listed here in pair order.
+    """
     sizes = [ts.category_count for ts in thresholds]
     offsets = np.cumsum([0, *sizes[:-1]])
     gram = polychoric._code_gram(np.asarray(codes), offsets, sum(sizes))
     index = [start + np.arange(size) for start, size in zip(offsets, sizes)]
-    return polychoric._pair_tables(gram, index, pairs, epsilon)
+    tables = [None] * len(pairs)
+    for members, stacked in polychoric._pair_tables(gram, index, pairs, epsilon):
+        assert len({table.shape for table in stacked}) == 1
+        for p, table in zip(members, stacked):
+            tables[p] = table
+    return tables
 
 
 def factor_codes(seed, k, n):
@@ -455,7 +463,7 @@ class TestPolychoricMatrix:
             polychoric_matrix(data)
 
     def test_entries_match_pairs_solved_alone(self, rng):
-        # columns with 2 to 10 categories, so every pair is padded in the batch
+        # columns with 2 to 10 categories, so the matrix solves pairs of many table shapes
         model = random_recursive_model(rng, n_latents=3, max_indicators=3)
         data = ordinal_dataset(model, rng, n=150, npoints=10)
         binary = (data.values[:, 0] > np.median(data.values[:, 0])).astype(float) + 1
@@ -465,7 +473,27 @@ class TestPolychoricMatrix:
         sigma, thresholds = polychoric_matrix(data)
         for (h, k), (table, ts_h, ts_k) in pair_tables(data, thresholds, epsilon=0.5).items():
             alone = polychoric_pair(table, ts_h, ts_k)
-            assert abs(sigma.values[h, k] - alone.rho) <= 1e-12
+            assert sigma.values[h, k] == alone.rho
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=25, deadline=None)
+    @example(3, 5, 0.5)
+    def test_entry_depends_only_on_its_own_table(self, seed, k, epsilon):
+        # Columns of 2 to 7 categories give pair tables of several shapes. Solved in one
+        # stack padded to the largest shape, seed 3 at k 5 put 7 of its 10 entries off
+        # their pairs' own solves, and dropping its widest column moved 2 other entries.
+        data = factor_codes(seed, k, 120)
+        sigma, thresholds = polychoric_matrix(data, epsilon=epsilon)
+        for (h, j), (table, ts_h, ts_k) in pair_tables(data, thresholds, epsilon).items():
+            assert polychoric_pair(table, ts_h, ts_k).rho == sigma.values[h, j]
+        sizes = np.array([ts.category_count for ts in thresholds])
+        keep = np.flatnonzero(sizes < sizes.max())
+        if keep.size:
+            narrow = DataMatrix(
+                data.values[:, keep], tuple(data.columns[j] for j in keep), ("ordinal",) * keep.size
+            )
+            sigma_n, _ = polychoric_matrix(narrow, epsilon=epsilon)
+            assert np.array_equal(sigma_n.values, sigma.values[np.ix_(keep, keep)])
 
     def test_pair_solve_does_not_depend_on_its_batch(self, rng):
         # 5-point columns give 5 x 5 tables with correlations in every BVN tier,
@@ -528,8 +556,7 @@ class TestCountPass:
         for p, (h, k) in enumerate(pairs):
             i_h, i_k = thresholds[h].category_count, thresholds[k].category_count
             expected = crosstab(codes[:, h], codes[:, k], i_h, i_k)
-            assert np.array_equal(tables[p, :i_h, :i_k], expected)
-            assert not tables[p, i_h:].any() and not tables[p, :, i_k:].any()
+            assert np.array_equal(tables[p], expected)
 
     def test_smoothing_touches_only_empty_table_cells(self):
         codes = np.array([[1, 1, 2], [2, 2, 2], [1, 1, 1], [3, 2, 2]])
@@ -537,8 +564,7 @@ class TestCountPass:
         pairs = np.array([[0, 1], [1, 2]])
         tables = count_tables(codes, thresholds, pairs, epsilon=0.5)
         assert np.array_equal(tables[0], [[2.0, 0.5], [0.5, 1.0], [0.5, 1.0]])
-        # the 2 x 2 table is padded to 3 rows with zero counts, left unsmoothed
-        assert np.array_equal(tables[1], [[1.0, 1.0], [0.5, 2.0], [0.0, 0.0]])
+        assert np.array_equal(tables[1], [[1.0, 1.0], [0.5, 2.0]])
 
     def test_negative_epsilon_names_pair(self, rng):
         data = DataMatrix(
@@ -705,21 +731,21 @@ class TestBoundScreen:
     @settings(max_examples=60, deadline=None)
     def test_ceiling_bounds_the_exact_loglikelihood(self, draws):
         fits = [screen_table(seed, kind) for seed, kind in draws]
-        rows = max(table.counts.shape[0] for table, _, _ in fits)
-        cols = max(table.counts.shape[1] for table, _, _ in fits)
-        weights = np.zeros((len(fits), rows, cols))
-        for p, (table, _, _) in enumerate(fits):
-            weights[p, : table.counts.shape[0], : table.counts.shape[1]] = table.smoothed()
-        cuts_h = [ts_h.cuts for _, ts_h, _ in fits]
-        cuts_k = [ts_k.cuts for _, _, ts_k in fits]
-        lim_h, lim_k = polychoric._padded_limits(cuts_h, rows), polychoric._padded_limits(cuts_k, cols)
-        _, loglik, _ = polychoric._solve_pairs(weights, cuts_h, cuts_k)
-        for bound in (-RHO_BOUND, RHO_BOUND):
-            ceiling = polychoric._bound_ceiling(weights, lim_h, lim_k, bound)
-            exact = np.array([floored_loglik(*fit, bound) for fit in fits])
-            assert np.all(ceiling >= exact)
-            # the solver's own evaluation and cell_probabilities round differently
-            assert np.all(exact <= loglik + 1e-9 * np.abs(loglik))
+        # the solver takes one table shape per call, as polychoric_matrix groups its pairs
+        for shape in {table.counts.shape for table, _, _ in fits}:
+            group = [fit for fit in fits if fit[0].counts.shape == shape]
+            weights = np.stack([table.smoothed() for table, _, _ in group])
+            _, loglik, _ = polychoric._solve_pairs(
+                weights, [ts_h.cuts for _, ts_h, _ in group], [ts_k.cuts for _, _, ts_k in group]
+            )
+            lim_h = np.stack([ts_h.open_bounds() for _, ts_h, _ in group])
+            lim_k = np.stack([ts_k.open_bounds() for _, _, ts_k in group])
+            for bound in (-RHO_BOUND, RHO_BOUND):
+                ceiling = polychoric._bound_ceiling(weights, lim_h, lim_k, bound)
+                exact = np.array([floored_loglik(*fit, bound) for fit in group])
+                assert np.all(ceiling >= exact)
+                # the solver's own evaluation and cell_probabilities round differently
+                assert np.all(exact <= loglik + 1e-9 * np.abs(loglik))
 
     @staticmethod
     def record_bound_work(monkeypatch):
