@@ -183,14 +183,6 @@ def _bvnu_finite(h, k, r):
     return out
 
 
-def _bvn_cdf_infinite(h, k):
-    # The CDF at every corner with an infinite limit, which no rho changes:
-    # a +inf limit leaves the other limit's margin and a -inf limit gives 0.
-    # Also returns the mask of fully finite corners, which read 0 here.
-    cdf = np.where(np.isposinf(h), ndtr(k), np.where(np.isposinf(k), ndtr(h), 0.0))
-    return cdf, np.isfinite(h) & np.isfinite(k)
-
-
 def _bvn_cdf_finite(h, k, rho):
     """P(X <= h, Y <= k) at finite limits, for hot loops that validated rho themselves.
 
@@ -234,7 +226,9 @@ def bvn_cdf(h, k, rho):
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must lie strictly inside (-1, 1), got {rho}")
     h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
-    p, finite = _bvn_cdf_infinite(h, k)
+    # a +inf limit leaves the other limit's margin and a -inf limit gives 0
+    p = np.where(np.isposinf(h), ndtr(k), np.where(np.isposinf(k), ndtr(h), 0.0))
+    finite = np.isfinite(h) & np.isfinite(k)
     p[finite] = _bvn_cdf_finite(h[finite], k[finite], rho)
     return float(p) if p.ndim == 0 else p
 

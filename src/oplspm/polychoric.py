@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _bvn_cdf_finite, _bvn_cdf_infinite, _bvn_pdf_drho, bvn_cdf, std_normal_quantile
+from .distributions import _bvn_cdf_finite, _bvn_pdf_drho, std_normal_quantile
 from .errors import ConvergenceError, DataError
 from .model import DataMatrix
 
@@ -66,11 +66,26 @@ class ThresholdSet:
     ``cuts`` holds the I_k - 1 interior cut points, strictly increasing and
     clipped to [-4, 4]. ``categories`` maps each internal category index
     (1-based) back to the original observed code; unused codes are collapsed
-    away so the internal codes are always contiguous.
+    away so the internal codes are always contiguous. Construction raises
+    ``DataError`` unless ``cuts`` is 1-D, finite, strictly increasing and
+    one shorter than ``categories``, with at least one cut.
     """
 
     cuts: np.ndarray
     categories: tuple[int, ...]
+
+    def __post_init__(self):
+        cuts = np.asarray(self.cuts, dtype=float)
+        if cuts.ndim != 1:
+            raise DataError(f"threshold cuts must be 1-D, got shape {cuts.shape}")
+        n = len(self.categories)
+        if n < 2:
+            raise DataError(f"a threshold set needs at least two categories, got {n}")
+        if cuts.size != n - 1:
+            raise DataError(f"{n} categories need {n - 1} cuts, got {cuts.size}")
+        if not np.all(np.isfinite(cuts)) or np.any(np.diff(cuts) <= 0):
+            raise DataError(f"threshold cuts must be finite and strictly increasing, got {cuts}")
+        object.__setattr__(self, "cuts", cuts)
 
     @property
     def category_count(self) -> int:
@@ -79,10 +94,6 @@ class ThresholdSet:
     def padded(self) -> np.ndarray:
         """Cut points with the clipped boundaries -4 and +4 attached."""
         return np.concatenate([[-THRESHOLD_BOUND], self.cuts, [THRESHOLD_BOUND]])
-
-    def open_bounds(self) -> np.ndarray:
-        """Cut points with open boundaries, as used inside the likelihood."""
-        return np.concatenate([[-np.inf], self.cuts, [np.inf]])
 
     def map_codes(self, codes: np.ndarray) -> np.ndarray:
         """Translate original codes to contiguous internal codes 1..I_k."""
@@ -206,17 +217,51 @@ def _thresholds_from_counts(counts, categories) -> ThresholdSet:
     return ThresholdSet(cuts=cuts, categories=tuple(int(c) for c in categories))
 
 
-def cell_probabilities(thresholds_h: ThresholdSet, thresholds_k: ThresholdSet, rho: float) -> np.ndarray:
+def _cell_probabilities(cuts_h, cuts_k, rho, derivatives=False):
+    """Cell probabilities of n pair tables of one shape, each at its own rho.
+
+    ``cuts_h`` is n x (R - 1), ``cuts_k`` n x (C - 1) and ``rho`` has n
+    entries. A table's CDF corner grid is 0 on a -inf limit, the other
+    limit's margin on a +inf limit and the BVN at the cuts; each cell is a
+    four-corner difference. ``derivatives`` stacks the grids of phi2 and
+    dphi2/drho, 0 on the open limits, after the CDF's. Returns 1 x n x R x C,
+    or 3 x n x R x C: the cells and their first and second rho-derivatives.
+    """
+    n, rows, cols = rho.shape[0], cuts_h.shape[1] + 1, cuts_k.shape[1] + 1
+    h, k = cuts_h[:, :, None], cuts_k[:, None, :]
+    corners = np.zeros((3 if derivatives else 1, n, rows + 1, cols + 1))
+    cdf = corners[0]
+    cdf[:, -1, 1:-1], cdf[:, 1:-1, -1], cdf[:, -1, -1] = ndtr(cuts_k), ndtr(cuts_h), 1.0
+    inner = corners[:, :, 1:-1, 1:-1]
+    inner[0] = _bvn_cdf_finite(h, k, rho)
+    if derivatives:
+        inner[1], inner[2] = _bvn_pdf_drho(h, k, rho[:, None, None])
+    return np.diff(np.diff(corners, axis=2), axis=3)
+
+
+def cell_probabilities(thresholds_h: ThresholdSet, thresholds_k: ThresholdSet, rho) -> np.ndarray:
     """Cell probabilities of the discretized bivariate normal.
 
     Entry (i, j) is the probability of observing internal categories
-    (i+1, j+1); the cells sum to 1 for any admissible rho.
+    (i+1, j+1); the cells sum to 1 for any admissible rho. ``rho`` is a
+    scalar or an array, and the result holds one R x C table per rho, with
+    shape ``rho.shape + (R, C)``; each table equals the one of its rho
+    alone.
+
+    Raises
+    ------
+    ValueError
+        If any rho is not strictly inside (-1, 1), or is NaN.
     """
-    bh = thresholds_h.open_bounds()
-    bk = thresholds_k.open_bounds()
-    grid_h, grid_k = np.meshgrid(bh, bk, indexing="ij")
-    lower_cdf = bvn_cdf(grid_h, grid_k, rho)
-    return np.diff(np.diff(lower_cdf, axis=0), axis=1)
+    rho = np.asarray(rho, dtype=float)
+    admissible = (rho > -1.0) & (rho < 1.0)
+    if not admissible.all():
+        bad = rho[~admissible].flat[0]
+        raise ValueError(f"correlation must lie strictly inside (-1, 1), got {bad}")
+    flat = rho.reshape(-1)
+    cuts_h, cuts_k = (np.broadcast_to(c, (flat.size, c.size)) for c in (thresholds_h.cuts, thresholds_k.cuts))
+    probs = _cell_probabilities(cuts_h, cuts_k, flat)[0]
+    return probs.reshape(rho.shape + probs.shape[1:])
 
 
 def _check_table(table: ContingencyTable, thresholds_h: ThresholdSet, thresholds_k: ThresholdSet):
@@ -262,30 +307,15 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     """
     n, rows, cols = weights.shape
     cuts_h, cuts_k = np.stack(cuts_h), np.stack(cuts_k)
-    lim_h, lim_k = (np.pad(c, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf)) for c in (cuts_h, cuts_k))
-
-    # CDF corners on an infinite limit are marginals fixed by the
-    # thresholds; only the interior corners, at the cuts, depend on rho. A
-    # pair's interior corners are evaluated as one block sharing its rho,
-    # from its row cuts against its column cuts.
-    fixed, _ = _bvn_cdf_infinite(lim_h[:, :, None], lim_k[:, None, :])
-    inner = np.s_[:, 1:-1, 1:-1]
-    corner_h, corner_k = cuts_h[:, :, None], cuts_k[:, None, :]
 
     def evaluate(active, rho, derivatives):
         # Loglikelihood (and score, curvature) of the active pairs at rho.
-        h, k, r = corner_h[active], corner_k[active], rho[active]
-        cdf = fixed[active]
-        cdf[inner] = _bvn_cdf_finite(h, k, r)
-        probs = np.diff(np.diff(cdf, axis=1), axis=2)
+        probs, *grads = _cell_probabilities(cuts_h[active], cuts_k[active], rho[active], derivatives)
         w = weights[active]
         loglik = np.sum(w * np.log(np.maximum(probs, _LOG_FLOOR)), axis=(1, 2))
         if not derivatives:
             return loglik
-        d1, d2 = np.zeros((2, *cdf.shape))
-        d1[inner], d2[inner] = _bvn_pdf_drho(h, k, r[:, None, None])
-        dp = np.diff(np.diff(d1, axis=1), axis=2)
-        d2p = np.diff(np.diff(d2, axis=1), axis=2)
+        dp, d2p = grads
         # floored cells are flat in rho, so they drop out of the derivatives
         live = probs > _LOG_FLOOR
         floored = np.any((w > 0.0) & ~live, axis=(1, 2))
@@ -331,7 +361,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
 
     for bound, reaches in ((-RHO_BOUND, lo == -RHO_BOUND), (RHO_BOUND, hi == RHO_BOUND)):
         idx = np.flatnonzero(reaches)
-        ceiling = _bound_ceiling(weights[idx], lim_h[idx], lim_k[idx], bound)
+        ceiling = _bound_ceiling(weights[idx], cuts_h[idx], cuts_k[idx], bound)
         reaches[idx] = ceiling >= loglik[idx] - _CEILING_SLACK * np.abs(loglik[idx])
         if reaches.any():
             at_bound = np.full(n, -np.inf)
@@ -341,19 +371,21 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     return best, loglik, ~active
 
 
-def _bound_ceiling(weights, lim_h, lim_k, bound):
+def _bound_ceiling(weights, cuts_h, cuts_k, bound):
     """An upper bound on each pair's floored loglikelihood at rho = ``bound`` (+/-0.999).
 
-    Cell (i, j) spans rows (a, b] and columns (c, d]. At rho = +0.999,
-    X - Y ~ N(0, s^2) with s = sqrt(2 (1 - 0.999)), and X - Y lies in
-    (a - d, b - c] on the cell, so its probability is at most
-    Phi((b - c) / s) and Phi((d - a) / s) as well as its row and column
-    marginals; at -0.999, X + Y lies in (a + c, b + d] and gives
-    Phi((b + d) / s) and Phi(-(a + c) / s). Each cell's cap gets
-    ``_CEILING_MARGIN`` added, far above the BVN's error of about 1e-15, so
-    it also caps the computed probability and, being above the floor, its
-    floored value.
+    ``cuts_h`` and ``cuts_k`` are the pairs' stacked interior thresholds,
+    and the outer limits are open (+/-inf). Cell (i, j) spans rows (a, b]
+    and columns (c, d]. At rho = +0.999, X - Y ~ N(0, s^2) with
+    s = sqrt(2 (1 - 0.999)), and X - Y lies in (a - d, b - c] on the cell,
+    so its probability is at most Phi((b - c) / s) and Phi((d - a) / s) as
+    well as its row and column marginals; at -0.999, X + Y lies in
+    (a + c, b + d] and gives Phi((b + d) / s) and Phi(-(a + c) / s). Each
+    cell's cap gets ``_CEILING_MARGIN`` added, far above the BVN's error of
+    about 1e-15, so it also caps the computed probability and, being above
+    the floor, its floored value.
     """
+    lim_h, lim_k = (np.pad(c, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf)) for c in (cuts_h, cuts_k))
     a, b = lim_h[:, :-1, None], lim_h[:, 1:, None]
     c, d = lim_k[:, None, :-1], lim_k[:, None, 1:]
     s = np.sqrt(2.0 * (1.0 - RHO_BOUND))

@@ -2,16 +2,18 @@
 
 ``bench/selftest.py`` swaps the correlation functions where the CLI,
 the simulator and the estimation module see them, deletes
-``polychoric.crosstab`` to test a missing hook, and ``bench/workloads.py``
-wraps ``cli.bootstrap_inner`` to count failed replicates. A refactor that
-drops one of these names breaks the benchmark, so it fails here too.
+``polychoric.crosstab`` to test a missing hook, ``bench/workloads.py``
+wraps ``cli.bootstrap_inner`` to count failed replicates, and
+``bench/spans.py`` times the BVN through ``polychoric._bvn_cdf_finite``.
+A refactor that drops one of these names breaks the benchmark, so it
+fails here too.
 """
 
 import importlib
 
 import pytest
 
-from oplspm import estimation, polychoric
+from oplspm import distributions, estimation, polychoric
 
 PATCH_POINTS = [
     (module, name, polychoric)
@@ -21,6 +23,7 @@ PATCH_POINTS = [
     ("oplspm.polychoric", "crosstab", polychoric),
     ("oplspm.polychoric", "polychoric_pair", polychoric),
     ("oplspm.cli", "bootstrap_inner", estimation),
+    ("oplspm.polychoric", "_bvn_cdf_finite", distributions),
 ]
 
 

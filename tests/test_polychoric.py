@@ -72,19 +72,17 @@ def factor_codes(seed, k, n):
 
 
 def floored_loglik(table, ts_h, ts_k, rho):
-    """The floored table loglikelihood at rho, from ``cell_probabilities``."""
+    """The floored table loglikelihood at each rho, from ``cell_probabilities``."""
     probs = cell_probabilities(ts_h, ts_k, rho)
-    return float(np.sum(table.smoothed() * np.log(np.maximum(probs, _LOG_FLOOR))))
+    return np.sum(table.smoothed() * np.log(np.maximum(probs, _LOG_FLOOR)), axis=(-2, -1))
 
 
 def grid_search(table, ts_h, ts_k, n_grid=2001):
     """Independent dense-grid oracle for the pair maximizer."""
-    best_rho, best_ll = None, -np.inf
-    for rho in np.linspace(-RHO_BOUND, RHO_BOUND, n_grid):
-        ll = floored_loglik(table, ts_h, ts_k, rho)
-        if ll > best_ll:
-            best_rho, best_ll = rho, ll
-    return best_rho, best_ll
+    grid = np.linspace(-RHO_BOUND, RHO_BOUND, n_grid)
+    loglik = floored_loglik(table, ts_h, ts_k, grid)
+    best = int(np.argmax(loglik))
+    return grid[best], float(loglik[best])
 
 
 def brent_oracle(table, ts_h, ts_k):
@@ -290,7 +288,6 @@ class TestThresholds:
         ts = estimate_thresholds(np.repeat([1, 2], [1, 999_999]))
         assert ts.cuts[0] == -4.0
         assert ts.padded()[0] == -4.0 and ts.padded()[-1] == 4.0
-        assert np.isneginf(ts.open_bounds()[0]) and np.isposinf(ts.open_bounds()[-1])
 
     def test_clipping_tie_rejected(self):
         with pytest.raises(DataError, match="strictly increasing"):
@@ -308,6 +305,23 @@ class TestThresholds:
             "column 'a': thresholds not strictly increasing after clipping at +/-4: "
             "the cuts between codes 2|3 and 3|4 both clip to +4"
         )
+
+    @pytest.mark.parametrize(
+        "cuts, categories, message",
+        [
+            ([1.0, 0.0], (1, 2, 3), "strictly increasing"),  # cells of negative probability
+            ([0.0, 0.0], (1, 2, 3), "strictly increasing"),
+            ([0.0, np.nan], (1, 2, 3), "finite"),  # a NaN loglikelihood
+            ([0.0, np.inf], (1, 2, 3), "finite"),
+            ([0.0], (1, 2, 3), "3 categories need 2 cuts, got 1"),  # a numpy broadcast error
+            ([-1.0, 0.0, 1.0], (1, 2, 3), "3 categories need 2 cuts, got 3"),
+            ([], (1,), "at least two categories"),
+            ([[-0.5, 0.5]], (1, 2, 3), "1-D"),
+        ],
+    )
+    def test_threshold_set_rejects_invalid_cuts(self, cuts, categories, message):
+        with pytest.raises(DataError, match=message):
+            ThresholdSet(cuts=np.array(cuts), categories=categories)
 
     def test_single_category_error(self):
         with pytest.raises(DataError, match="single observed category"):
@@ -337,6 +351,25 @@ class TestCellProbabilities:
             assert probs.shape == (ih, ik)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= -1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_rho_array_matches_scalar_calls(self, rng, shape):
+        ts_h, ts_k = make_ts([-1.2, 0.1, 0.9]), make_ts([-0.4, 1.5])
+        # every quadrature tier and the near-singular form, including the bounds
+        rho = rng.choice([-0.999, -0.95, -0.8, -0.5, -0.1, 0.0, 0.2, 0.6, 0.93, 0.999], size=shape)
+        probs = cell_probabilities(ts_h, ts_k, rho)
+        assert probs.shape == shape + (4, 3)
+        stacked = np.array([cell_probabilities(ts_h, ts_k, float(r)) for r in rho.ravel()])
+        assert np.array_equal(probs, stacked.reshape(probs.shape))
+        assert np.allclose(probs.sum(axis=(-2, -1)), 1.0, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -2.0, np.nan])
+    def test_rho_array_rejects_any_inadmissible_rho(self, bad):
+        ts = make_ts([-0.5, 0.5])
+        with pytest.raises(ValueError, match="strictly inside"):
+            cell_probabilities(ts, ts, bad)
+        with pytest.raises(ValueError, match="strictly inside"):
+            cell_probabilities(ts, ts, np.array([[0.1, 0.2], [bad, 0.3]]))
 
 
 class TestPolychoricPair:
@@ -738,14 +771,13 @@ class TestBoundScreen:
             _, loglik, _ = polychoric._solve_pairs(
                 weights, [ts_h.cuts for _, ts_h, _ in group], [ts_k.cuts for _, _, ts_k in group]
             )
-            lim_h = np.stack([ts_h.open_bounds() for _, ts_h, _ in group])
-            lim_k = np.stack([ts_k.open_bounds() for _, _, ts_k in group])
+            cuts_h = np.stack([ts_h.cuts for _, ts_h, _ in group])
+            cuts_k = np.stack([ts_k.cuts for _, _, ts_k in group])
             for bound in (-RHO_BOUND, RHO_BOUND):
-                ceiling = polychoric._bound_ceiling(weights, lim_h, lim_k, bound)
+                ceiling = polychoric._bound_ceiling(weights, cuts_h, cuts_k, bound)
                 exact = np.array([floored_loglik(*fit, bound) for fit in group])
                 assert np.all(ceiling >= exact)
-                # the solver's own evaluation and cell_probabilities round differently
-                assert np.all(exact <= loglik + 1e-9 * np.abs(loglik))
+                assert np.all(exact <= loglik)
 
     @staticmethod
     def record_bound_work(monkeypatch):
@@ -757,9 +789,9 @@ class TestBoundScreen:
             calls.append((h.size, np.abs(rho)))
             return bvn(h, k, rho)
 
-        def record_ceiling(weights, lim_h, lim_k, bound):
+        def record_ceiling(weights, cuts_h, cuts_k, bound):
             screened.append((bound, weights.shape[0]))
-            return ceiling(weights, lim_h, lim_k, bound)
+            return ceiling(weights, cuts_h, cuts_k, bound)
 
         monkeypatch.setattr(polychoric, "_bvn_cdf_finite", record_bvn)
         monkeypatch.setattr(polychoric, "_bound_ceiling", record_ceiling)
