@@ -212,7 +212,8 @@ def bvn_cdf(h, k, rho):
     Parameters
     ----------
     h, k : float or array_like
-        Upper integration limits; +/-inf are valid and handled exactly.
+        Upper integration limits; +/-inf are valid and handled exactly, and
+        a NaN limit gives NaN.
     rho : float
         Correlation, strictly inside (-1, 1). Callers holding estimates at
         the clip bound (0.999) stay inside the admissible range.
@@ -230,6 +231,7 @@ def bvn_cdf(h, k, rho):
     p = np.where(np.isposinf(h), ndtr(k), np.where(np.isposinf(k), ndtr(h), 0.0))
     finite = np.isfinite(h) & np.isfinite(k)
     p[finite] = _bvn_cdf_finite(h[finite], k[finite], rho)
+    p[np.isnan(h) | np.isnan(k)] = np.nan
     return float(p) if p.ndim == 0 else p
 
 

@@ -13,7 +13,6 @@ outermost category boundaries are open (+/-inf).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,8 @@ class ThresholdSet:
     (1-based) back to the original observed code; unused codes are collapsed
     away so the internal codes are always contiguous. Construction raises
     ``DataError`` unless ``cuts`` is 1-D, finite, strictly increasing and
-    one shorter than ``categories``, with at least one cut.
+    one shorter than ``categories``, with at least one cut, and the
+    categories are integer codes >= 1 in strictly increasing order.
     """
 
     cuts: np.ndarray
@@ -83,6 +83,12 @@ class ThresholdSet:
             raise DataError(f"a threshold set needs at least two categories, got {n}")
         if cuts.size != n - 1:
             raise DataError(f"{n} categories need {n - 1} cuts, got {cuts.size}")
+        codes = self.categories
+        integers = all(isinstance(c, (int, np.integer)) for c in codes)
+        if not integers or codes[0] < 1 or list(codes) != sorted(set(codes)):
+            raise DataError(
+                f"categories must be strictly increasing integer codes >= 1, got {codes}"
+            )
         if not np.all(np.isfinite(cuts)) or np.any(np.diff(cuts) <= 0):
             raise DataError(f"threshold cuts must be finite and strictly increasing, got {cuts}")
         object.__setattr__(self, "cuts", cuts)
@@ -275,9 +281,9 @@ def _check_table(table: ContingencyTable, thresholds_h: ThresholdSet, thresholds
         raise DataError("degenerate table: all mass in one row or column")
 
 
-def _turned(cuts_h, cuts_k):
-    """Whether a pair is solved turned: its rows' (cut count, cuts) sort after its columns' (a tie is not)."""
-    return (cuts_h.size, cuts_h.tolist()) > (cuts_k.size, cuts_k.tolist())
+def _turn_key(cuts):
+    """A column's key: a pair is solved turned when its rows' key sorts after its columns' (a tie is not)."""
+    return cuts.size, cuts.tolist()
 
 
 def _solve_pairs(weights, cuts_h, cuts_k):
@@ -285,7 +291,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
 
     ``weights`` is n x R x C: ``weights[p]`` is pair p's smoothed count
     table, and ``cuts_h[p]``, ``cuts_k[p]`` its R - 1 and C - 1 interior
-    thresholds. Callers turn each pair with ``_turned`` first, so a table
+    thresholds. Callers turn each pair by ``_turn_key`` first, so a table
     and its transpose give the same result; the tables must be C-ordered,
     as the loglikelihood sums run in memory order. A pair's result depends
     only on its own table and thresholds, not on the pairs that share its
@@ -306,7 +312,6 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
     n, rows, cols = weights.shape
-    cuts_h, cuts_k = np.stack(cuts_h), np.stack(cuts_k)
 
     def evaluate(active, rho, derivatives):
         # Loglikelihood (and score, curvature) of the active pairs at rho.
@@ -417,9 +422,9 @@ def polychoric_pair(
     """
     _check_table(table, thresholds_h, thresholds_k)
     weights, cuts_h, cuts_k = table.smoothed(), thresholds_h.cuts, thresholds_k.cuts
-    if _turned(cuts_h, cuts_k):
+    if _turn_key(cuts_h) > _turn_key(cuts_k):
         weights, cuts_h, cuts_k = weights.T, cuts_k, cuts_h
-    rho, loglik, converged = _solve_pairs(np.ascontiguousarray(weights[None]), [cuts_h], [cuts_k])
+    rho, loglik, converged = _solve_pairs(np.ascontiguousarray(weights[None]), cuts_h[None], cuts_k[None])
     if not converged[0]:
         raise ConvergenceError(_NOT_CONVERGED, best=float(rho[0]))
     return PairResult(rho=float(rho[0]), loglik=float(loglik[0]))
@@ -462,22 +467,23 @@ def _code_gram(codes, offsets, width, weights=None) -> np.ndarray:
 def _pair_tables(gram, index, pairs, epsilon):
     """Smoothed count tables of the pairs, stacked by table shape.
 
-    ``index[k]`` holds the cross-product rows of column k's categories, in
-    category order, and pair (h, k)'s table is the block of ``gram`` at
-    rows ``index[h]`` and columns ``index[k]``; empty cells hold
-    ``epsilon``. Returns one ``(members, tables)`` per table shape, where
-    ``members`` are the positions in ``pairs`` of the pairs of that shape,
-    in order, and ``tables`` their stacked tables.
+    Row k of ``index`` holds the cross-product rows of column k's
+    categories, in category order, padded with -1, and pair (h, k)'s table
+    is the block of ``gram`` at rows ``index[h]`` and columns ``index[k]``
+    without the padding; empty cells hold ``epsilon``. Returns one
+    ``(members, tables)`` per table shape, where ``members`` are the
+    positions in ``pairs`` of the pairs of that shape, in order, and
+    ``tables`` their stacked tables.
     """
     smoothed = np.where(gram == 0, epsilon, gram)
-    groups = {}
-    for p, (h, k) in enumerate(pairs):
-        groups.setdefault((index[h].size, index[k].size), []).append(p)
+    sizes, base = np.count_nonzero(index >= 0, axis=1), index.shape[1] + 1
+    h, k = pairs.T
+    shapes, group = np.unique(sizes[h] * base + sizes[k], return_inverse=True)
     out = []
-    for members in groups.values():
-        rows = np.array([index[h] for h, _ in pairs[members]])
-        cols = np.array([index[k] for _, k in pairs[members]])
-        out.append((np.array(members), smoothed[rows[:, :, None], cols[:, None, :]]))
+    for g, shape in enumerate(shapes):
+        members = np.flatnonzero(group == g)
+        rows, cols = divmod(int(shape), base)
+        out.append((members, smoothed[index[h[members], :rows, None], index[k[members], None, :cols]]))
     return out
 
 
@@ -511,31 +517,32 @@ def _count_polychoric(codes, categories, columns, epsilon, weights=None):
     offsets = np.cumsum([0, *sizes[:-1]])
     gram = _code_gram(codes, offsets, sum(sizes), weights)
     marginals = np.diagonal(gram).copy()
-    thresholds, index = [], []
-    for name, start, observed in zip(columns, offsets, categories):
+    n, width = len(columns), max(sizes)
+    # each column's drawn cross-product rows and its cuts, padded with -1 and 0
+    thresholds, index, cuts = [], np.full((n, width), -1), np.zeros((n, width - 1))
+    for j, (name, start, observed) in enumerate(zip(columns, offsets, categories)):
         counts = marginals[start : start + len(observed)]
         drawn = np.flatnonzero(counts)
         try:
             thresholds.append(_thresholds_from_counts(counts[drawn], observed[drawn]))
         except DataError as exc:
             raise DataError(f"column '{name}': {exc}") from None
-        index.append(start + drawn)
+        index[j, : drawn.size], cuts[j, : drawn.size - 1] = start + drawn, thresholds[j].cuts
 
-    pairs = np.array(list(itertools.combinations(range(len(columns)), 2)), dtype=int)
-    values = np.eye(len(columns))
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    values = np.eye(n)
     if pairs.size:
         _check_epsilon(epsilon, f"{label(0)}: ")
-        # the cross-product is symmetric, so a turned pair's block is its turned table
-        turned = [_turned(thresholds[h].cuts, thresholds[k].cuts) for h, k in pairs]
-        solved = np.where(np.array(turned)[:, None], pairs[:, ::-1], pairs)
+        # a stable sort leaves a tie unturned; the cross-product is symmetric, so a turned
+        # pair's block is its turned table
+        rank = np.argsort(sorted(range(n), key=lambda j: _turn_key(thresholds[j].cuts)))
+        solved = np.where((rank[pairs[:, 0]] > rank[pairs[:, 1]])[:, None], pairs[:, ::-1], pairs)
         groups = _pair_tables(gram, index, solved, epsilon)
         del gram  # not needed by the solve, whose working arrays set the memory peak
         rho, converged = np.empty(len(pairs)), np.empty(len(pairs), dtype=bool)
         for members, tables in groups:
-            h, k = solved[members].T
-            rho[members], _, converged[members] = _solve_pairs(
-                tables, [thresholds[i].cuts for i in h], [thresholds[i].cuts for i in k]
-            )
+            (h, k), (r, c) = solved[members].T, tables.shape[1:]
+            rho[members], _, converged[members] = _solve_pairs(tables, cuts[h, : r - 1], cuts[k, : c - 1])
         if not converged.all():
             p = int(np.argmin(converged))
             raise ConvergenceError(f"{label(p)}: {_NOT_CONVERGED}", best=float(rho[p]))

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 RULES = ("mode", "median", "mean")
+# Rows of one block of the mode rule's subjects x categories overlap probabilities.
+_MODE_ROWS = 8192
 
 logger = logging.getLogger(__name__)
 
@@ -171,7 +173,10 @@ def predict_categories(
         w = standardizing_weights[block, j]
         alpha, beta = _subject_intervals(data, block, threshold_sets, w, latent)
         if rule == "mode":
-            out[:, j] = np.argmax(_overlap_probabilities(alpha, beta, lt.cuts[j]), axis=1) + 1
+            for start in range(0, n, _MODE_ROWS):
+                rows = slice(start, start + _MODE_ROWS)
+                overlap = _overlap_probabilities(alpha[rows], beta[rows], lt.cuts[j])
+                out[rows, j] = np.argmax(overlap, axis=1) + 1
         else:
             try:
                 if rule == "median":

@@ -177,6 +177,21 @@ class TestBvnCdf:
             assert np.array_equal(out[:-1], want)
             assert out[-1] == bvn_cdf(-0.4, 1.1, rho)
 
+    def test_nan_limit_gives_nan(self):
+        # either limit NaN gives NaN, whatever the other limit, alone or among
+        # finite and infinite corners, which keep their values bit for bit
+        inf, nan = np.inf, np.nan
+        others = [0.0, -1.3, inf, -inf, nan]
+        h = np.array([nan] * 5 + others + [inf, -inf, 0.4, -inf, inf])
+        k = np.array(others + [nan] * 5 + [0.2, 0.7, -inf, -inf, inf])
+        for rho in (0.1, -0.5, 0.95):
+            for hi, ki in zip(h[:10], k[:10]):
+                assert np.isnan(bvn_cdf(hi, ki, rho))
+            out = bvn_cdf(h, k, rho)
+            assert np.all(np.isnan(out[:10]))
+            assert np.array_equal(out[10:], [bvn_cdf(hi, ki, rho) for hi, ki in zip(h[10:], k[10:])])
+        assert np.isnan(std_normal_cdf(nan))
+
     def test_tiers_keep_their_rules(self):
         assert np.array_equal(_TIER_EDGES, [0.3, 0.75, 0.925])
         assert [len(nodes) for _, nodes in _BRANCHES] == [6, 12, 20, 20]

@@ -50,7 +50,9 @@ def count_tables(codes, thresholds, pairs, epsilon):
     sizes = [ts.category_count for ts in thresholds]
     offsets = np.cumsum([0, *sizes[:-1]])
     gram = polychoric._code_gram(np.asarray(codes), offsets, sum(sizes))
-    index = [start + np.arange(size) for start, size in zip(offsets, sizes)]
+    index = np.full((len(sizes), max(sizes)), -1)  # padded with -1, as the count pass does
+    for j, (start, size) in enumerate(zip(offsets, sizes)):
+        index[j, :size] = start + np.arange(size)
     tables = [None] * len(pairs)
     for members, stacked in polychoric._pair_tables(gram, index, pairs, epsilon):
         assert len({table.shape for table in stacked}) == 1
@@ -317,6 +319,11 @@ class TestThresholds:
             ([-1.0, 0.0, 1.0], (1, 2, 3), "3 categories need 2 cuts, got 3"),
             ([], (1,), "at least two categories"),
             ([[-0.5, 0.5]], (1, 2, 3), "1-D"),
+            ([0.0], (1, 1), "strictly increasing integer codes >= 1"),  # map_codes gave [2, 2]
+            ([0.0], (2, 1), "strictly increasing integer codes >= 1"),  # an untyped IndexError
+            ([0.0, 1.0], (1, 3, 2), "strictly increasing integer codes >= 1"),
+            ([0.0], (0, 1), "strictly increasing integer codes >= 1"),
+            ([0.0], (1.0, 2.0), "strictly increasing integer codes >= 1"),
         ],
     )
     def test_threshold_set_rejects_invalid_cuts(self, cuts, categories, message):
@@ -500,13 +507,40 @@ class TestPolychoricMatrix:
         model = random_recursive_model(rng, n_latents=3, max_indicators=3)
         data = ordinal_dataset(model, rng, n=150, npoints=10)
         binary = (data.values[:, 0] > np.median(data.values[:, 0])).astype(float) + 1
-        data = DataMatrix(
+        mixed = DataMatrix(
             np.column_stack([data.values, binary]), (*data.columns, "bin"), data.kinds + ("ordinal",)
         )
-        sigma, thresholds = polychoric_matrix(data)
-        for (h, k), (table, ts_h, ts_k) in pair_tables(data, thresholds, epsilon=0.5).items():
-            alone = polychoric_pair(table, ts_h, ts_k)
-            assert sigma.values[h, k] == alone.rho
+        # turn keys that tie exactly ("tie" is "a" with some rows permuted) or differ only in
+        # the last cut ("b" moves the top cut of "a" down), each pair in both column orders
+        keyed_rng = np.random.default_rng(1)
+        z = keyed_rng.normal(size=(200, 2)) @ np.array([[1.0, 0.6], [0.0, 0.8]])
+        a = np.searchsorted([-1.0, -0.3, 0.4, 1.1], z[:, 0]) + 1
+        b = np.searchsorted([-1.0, -0.3, 0.4, 0.8], z[:, 0]) + 1
+        tie = a.copy()
+        tie[:60] = keyed_rng.permutation(a[:60])
+        other = np.searchsorted([-0.5, 0.5], z[:, 1]) + 1
+        keyed = np.column_stack([a, b, tie, other]).astype(float)
+        names = ("a", "b", "tie", "other")
+        datasets = [mixed] + [
+            DataMatrix(keyed[:, order], tuple(names[j] for j in order), ("ordinal",) * 4)
+            for order in ([0, 1, 2, 3], [3, 2, 1, 0])
+        ]
+        for data in datasets:
+            sigma, thresholds = polychoric_matrix(data)
+            for (h, k), (table, ts_h, ts_k) in pair_tables(data, thresholds, epsilon=0.5).items():
+                alone = polychoric_pair(table, ts_h, ts_k)
+                assert sigma.values[h, k] == alone.rho
+        ts = dict(zip(data.columns, thresholds))
+        assert np.array_equal(ts["a"].cuts, ts["tie"].cuts)
+        assert np.array_equal(ts["a"].cuts[:-1], ts["b"].cuts[:-1]) and ts["a"].cuts[-1] > ts["b"].cuts[-1]
+        # a wrong turn shows above: these pairs' solves change in the last bits when turned
+        tables = pair_tables(data, thresholds, epsilon=0.5)
+        for x, y in (("tie", "a"), ("b", "a")):
+            table, ts_x, ts_y = tables[data.columns.index(x), data.columns.index(y)]
+            weights = table.smoothed()
+            as_given = polychoric._solve_pairs(weights[None], ts_x.cuts[None], ts_y.cuts[None])[0]
+            turned = polychoric._solve_pairs(weights.T.copy()[None], ts_y.cuts[None], ts_x.cuts[None])[0]
+            assert as_given != turned
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.sampled_from([0.0, 0.5]))
     @settings(max_examples=25, deadline=None)
@@ -542,9 +576,8 @@ class TestPolychoricMatrix:
 
         def solve(batch):
             weights = np.stack([fits[p][0].smoothed() for p in batch])
-            return polychoric._solve_pairs(
-                weights, [fits[p][1].cuts for p in batch], [fits[p][2].cuts for p in batch]
-            )
+            cuts_h, cuts_k = (np.stack([fits[p][i].cuts for p in batch]) for i in (1, 2))
+            return polychoric._solve_pairs(weights, cuts_h, cuts_k)
 
         everyone = np.arange(len(fits))
         rho, loglik, _ = solve(everyone)
@@ -768,11 +801,9 @@ class TestBoundScreen:
         for shape in {table.counts.shape for table, _, _ in fits}:
             group = [fit for fit in fits if fit[0].counts.shape == shape]
             weights = np.stack([table.smoothed() for table, _, _ in group])
-            _, loglik, _ = polychoric._solve_pairs(
-                weights, [ts_h.cuts for _, ts_h, _ in group], [ts_k.cuts for _, _, ts_k in group]
-            )
             cuts_h = np.stack([ts_h.cuts for _, ts_h, _ in group])
             cuts_k = np.stack([ts_k.cuts for _, _, ts_k in group])
+            _, loglik, _ = polychoric._solve_pairs(weights, cuts_h, cuts_k)
             for bound in (-RHO_BOUND, RHO_BOUND):
                 ceiling = polychoric._bound_ceiling(weights, cuts_h, cuts_k, bound)
                 exact = np.array([floored_loglik(*fit, bound) for fit in group])

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import ndtr
 
 from conftest import ECSI_MODEL, ecsi_dataset, ordinal_dataset, random_recursive_model
+from oplspm import scores
 from oplspm.distributions import std_normal_cdf
 from oplspm.errors import DataError
 from oplspm.estimation import fit_correlation_model
@@ -232,17 +233,20 @@ class TestModeOverlaps:
         self.assert_equal_to_oracle(alpha, beta, np.sort(cuts))
         self.assert_equal_to_oracle(beta, alpha, np.sort(cuts))
 
-    def test_mode_rule_on_ecsi_sample(self, rng):
+    def test_mode_rule_on_ecsi_sample(self, rng, monkeypatch):
         model = parse_model(ECSI_MODEL)
         data = ecsi_dataset(rng, n=400)
         fit, thresholds, lt = fit_opls(data, model)
         sw = fit.weights.standardized
-        pred = predict_categories(data, lt, thresholds, sw, model, rule="mode")
-        for j, latent in enumerate(model.latent_names):
-            block = model.block_slice(j)
-            alpha, beta = _subject_intervals(data, block, thresholds, sw[block, j], latent)
-            expected = np.argmax(overlap_oracle(alpha, beta, lt.cuts[j]), axis=1) + 1
-            assert np.array_equal(pred[:, j], expected), latent
+        # 7-row blocks take the 400 subjects in 58 blocks, the last of one row
+        for mode_rows in (scores._MODE_ROWS, 7):
+            monkeypatch.setattr(scores, "_MODE_ROWS", mode_rows)
+            pred = predict_categories(data, lt, thresholds, sw, model, rule="mode")
+            for j, latent in enumerate(model.latent_names):
+                block = model.block_slice(j)
+                alpha, beta = _subject_intervals(data, block, thresholds, sw[block, j], latent)
+                expected = np.argmax(overlap_oracle(alpha, beta, lt.cuts[j]), axis=1) + 1
+                assert np.array_equal(pred[:, j], expected), (mode_rows, latent)
 
 
 class TestRawScaleAndConcordance:
