@@ -32,7 +32,14 @@ from .estimation import bootstrap_inner, fit_correlation_model
 from .model import load_csv, load_data, parse_model
 from .polychoric import pearson_matrix, polychoric_matrix
 from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .scores import RULES, concordance_table, latent_thresholds, predict_categories, raw_scale_scores
+from .scores import (
+    RULES,
+    concordance_table,
+    latent_thresholds,
+    predict_categories,
+    raw_scale_scores,
+    subject_intervals,
+)
 from .simulate import PERCENTILES, SimulationConfig, run_study
 
 EXIT_OK = 0
@@ -43,18 +50,41 @@ EXIT_INTERNAL = 4
 _ROW_CHUNK = 1 << 14
 
 
+class _NumberedIntegers:
+    """An integer matrix whose CSV rows are ``[i, *row]``, i counting from 1.
+
+    Its chunks of ``_ROW_CHUNK`` numbered rows are built only as they are written.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def chunks(self):
+        for start in range(0, len(self.values), _ROW_CHUNK):
+            block = self.values[start : start + _ROW_CHUNK]
+            yield np.column_stack([np.arange(start + 1, start + 1 + len(block)), block])
+
+
 def _write_csv(path: Path, header, rows) -> None:
     """Write a header and rows of Python str, int, float, bool or None cells.
 
     The csv module writes None as an empty cell and everything else with
     ``str``, which for a Python float is its shortest round-trip form (full
     double precision). Convert numpy values first (``ndarray.tolist()``,
-    ``float()``): their ``str`` follows numpy's print options.
+    ``float()``): their ``str`` follows numpy's print options. A
+    ``_NumberedIntegers`` is written a chunk per call with the same bytes
+    csv would write: ``%d`` of a Python int is its ``str``, and csv quotes
+    no digits and ends each row with CR LF.
     """
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        if not isinstance(rows, _NumberedIntegers):
+            writer.writerows(rows)
+            return
+        for chunk in rows.chunks():
+            line = ",".join(["%d"] * chunk.shape[1]) + "\r\n"
+            handle.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _sha256(path: Path) -> str:
@@ -104,18 +134,14 @@ def _indexed_rows(names, sequences):
             for i, v in enumerate(values, 1)]
 
 
-def _numbered_rows(values):
-    """``[i, *row]`` per row, i counting from 1, converted a chunk at a time."""
-    table = np.column_stack([np.arange(1, len(values) + 1), values])
-    for start in range(0, len(table), _ROW_CHUNK):
-        yield from table[start : start + _ROW_CHUNK].tolist()
-
-
 def _load_model(path: str):
     try:
         return parse_model(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ModelError(f"cannot read model file '{path}': {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file '{path}' is not UTF-8 text: {exc.reason} "
+                         f"(byte 0x{exc.object[exc.start]:02x})") from None
 
 
 def _load_table(path: str, loader, **kw):
@@ -212,30 +238,38 @@ def cmd_predict_scores(args):
     fit = fit_correlation_model(sigma, model, tol=args.tol, max_iter=args.max_iter)
     weights = fit.weights.standardized
     lt = latent_thresholds(thresholds, weights, model)
-    predicted = predict_categories(data, lt, thresholds, weights, model, rule=args.rule)
+    if args.coherency:
+        pls_fit = fit_correlation_model(pearson_matrix(data), model,
+                                        tol=args.tol, max_iter=args.max_iter)
+        raw = raw_scale_scores(data, pls_fit.weights.raw)
+        # Held through every rule's prediction, so as small an integer as fits.
+        counts = lt.category_counts
+        rounded = np.clip(np.floor(raw + 0.5), 1, counts).astype(np.min_scalar_type(max(counts)))
+        del raw
+    # Built after the Pearson fit, whose centred copy of the data would otherwise
+    # coexist with them, and shared by every rule.
+    intervals = subject_intervals(data, thresholds, weights, model)
+    predicted = predict_categories(data, lt, thresholds, weights, model, rule=args.rule,
+                                   intervals=intervals)
     tables = {
-        "predicted_categories.csv": (["subject", *model.latent_names], _numbered_rows(predicted)),
+        "predicted_categories.csv": (["subject", *model.latent_names],
+                                     _NumberedIntegers(predicted)),
         "latent_thresholds.csv": (
             ["latent", "cut_index", "value"],
             _indexed_rows(model.latent_names, [cuts.tolist() for cuts in lt.cuts]),
         ),
     }
     if args.coherency:
-        pls_fit = fit_correlation_model(pearson_matrix(data), model,
-                                        tol=args.tol, max_iter=args.max_iter)
-        raw = raw_scale_scores(data, pls_fit.weights.raw)
-        # Held through the other rules' predictions, so as small an integer as fits.
-        counts = lt.category_counts
-        rounded = np.clip(np.floor(raw + 0.5), 1, counts).astype(np.min_scalar_type(max(counts)))
         rows = []
         for rule in RULES:
             pred = predicted if rule == args.rule else predict_categories(
-                data, lt, thresholds, weights, model, rule=rule
+                data, lt, thresholds, weights, model, rule=rule, intervals=intervals
             )
             # One latent at a time keeps the working arrays at one column.
             for j, latent in enumerate(model.latent_names):
                 table = concordance_table(pred[:, j : j + 1], rounded[:, j : j + 1])
                 rows.append([rule, latent, *(float(table[k][0]) for k in ("exact", "within_one"))])
+            del pred  # before the next rule's prediction is made
         tables["coherency.csv"] = (["rule", "latent", "exact_pct", "within_one_pct"], rows)
     extra = {"rule": args.rule, "pd_status": sigma.pd_status}
     message = f"predicted categories ({args.rule}) for {data.n_rows} subjects"

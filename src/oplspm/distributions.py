@@ -235,26 +235,32 @@ def bvn_cdf(h, k, rho):
     return float(p) if p.ndim == 0 else p
 
 
-def truncated_normal_mean(alpha, beta):
+def truncated_normal_mean(alpha, beta, *, cdf=None):
     """Mean of a standard normal restricted to the interval (alpha, beta].
 
     Computed as (pdf(alpha) - pdf(beta)) / (cdf(beta) - cdf(alpha)); raises
-    when the interval carries essentially no probability mass.
+    when the interval carries essentially no probability mass. ``cdf`` may
+    give (Phi(alpha), Phi(beta)) already taken.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    denom = ndtr(beta) - ndtr(alpha)
+    cdf_alpha, cdf_beta = (ndtr(alpha), ndtr(beta)) if cdf is None else cdf
+    denom = cdf_beta - cdf_alpha
     if np.any(denom < 1e-300):
         raise ValueError("truncation interval carries no probability mass")
     out = (std_normal_pdf(alpha) - std_normal_pdf(beta)) / denom
     return float(out) if out.ndim == 0 else out
 
 
-def truncated_normal_median(alpha, beta):
-    """Median of a standard normal restricted to (alpha, beta]."""
+def truncated_normal_median(alpha, beta, *, cdf=None):
+    """Median of a standard normal restricted to (alpha, beta].
+
+    ``cdf`` may give (Phi(alpha), Phi(beta)) already taken.
+    """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    out = ndtri(0.5 * (ndtr(alpha) + ndtr(beta)))
+    cdf_alpha, cdf_beta = (ndtr(alpha), ndtr(beta)) if cdf is None else cdf
+    out = ndtri(0.5 * (cdf_alpha + cdf_beta))
     return float(out) if out.ndim == 0 else out
 
 

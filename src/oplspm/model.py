@@ -42,6 +42,8 @@ __all__ = [
 
 INTERVAL = "interval"
 ORDINAL = "ordinal"
+# From 2**53 on a float64 is always a whole number, whatever value was written.
+_CODE_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -272,6 +274,11 @@ class DataMatrix:
                     raise DataError(
                         f"ordinal column '{self.columns[j]}' must hold integer codes >= 1"
                     )
+                if col.max() >= _CODE_LIMIT:
+                    raise DataError(
+                        f"ordinal column '{self.columns[j]}' holds code {col.max():g}; "
+                        "codes must be below 2**53"
+                    )
 
     @property
     def n_rows(self) -> int:
@@ -369,33 +376,38 @@ def _read_values(source, select=None):
     loop, whose messages name the row. Returns the header and the values.
     """
     opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
-    with opened as handle:
-        nonblank = _csv_rows(handle, 1)
-        header, first = next(nonblank, None), next(nonblank, None)
-        if first is None:
-            raise DataError("CSV needs a header row and at least one data row")
-        header = [cell.strip() for cell in header]
-        if len(set(header)) < len(header):
-            name = next(name for i, name in enumerate(header) if name in header[:i])
-            raise DataError(f"repeated data column '{name}'")
-        order = select(header) if select is not None else slice(None)
-        blocks, row_no = [_parse_cells(header, [first], 2)[:, order]], 3
-        while lines := list(islice(handle, _CHUNK_ROWS)):
-            if not any(map(str.strip, lines)):
-                continue  # whitespace-only lines are skipped and not counted
-            if (values := _plain_values(lines, len(header))) is None:
-                rows = _csv_rows(chain(lines, handle), row_no)
-                while chunk := list(islice(rows, _CHUNK_ROWS)):
-                    blocks.append(_parse_cells(header, chunk, row_no)[:, order])
-                    row_no += len(blocks[-1])
-                break
-            blocks.append(values[:, order])
-            row_no += len(values)
+    try:
+        with opened as handle:
+            nonblank = _csv_rows(handle, 1)
+            header, first = next(nonblank, None), next(nonblank, None)
+            if first is None:
+                raise DataError("CSV needs a header row and at least one data row")
+            header = [cell.strip() for cell in header]
+            if len(set(header)) < len(header):
+                name = next(name for i, name in enumerate(header) if name in header[:i])
+                raise DataError(f"repeated data column '{name}'")
+            order = select(header) if select is not None else slice(None)
+            blocks, row_no = [_parse_cells(header, [first], 2)[:, order]], 3
+            while lines := list(islice(handle, _CHUNK_ROWS)):
+                if not any(map(str.strip, lines)):
+                    continue  # whitespace-only lines are skipped and not counted
+                if (values := _plain_values(lines, len(header))) is None:
+                    rows = _csv_rows(chain(lines, handle), row_no)
+                    while chunk := list(islice(rows, _CHUNK_ROWS)):
+                        blocks.append(_parse_cells(header, chunk, row_no)[:, order])
+                        row_no += len(blocks[-1])
+                    break
+                blocks.append(values[:, order])
+                row_no += len(values)
+    except UnicodeDecodeError as exc:
+        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+        raise DataError(f"data file '{name}' is not UTF-8 text: {exc.reason} "
+                        f"(byte 0x{exc.object[exc.start]:02x})") from None
     return header, np.concatenate(blocks)
 
 
 def _infer_kind(col: np.ndarray) -> str:
-    if np.all(col == np.round(col)) and np.all(col >= 1):
+    if np.all(col == np.round(col)) and np.all(col >= 1) and np.all(col < _CODE_LIMIT):
         return ORDINAL
     return INTERVAL
 

@@ -53,6 +53,9 @@ _CEILING_MARGIN = 1e-12
 _CEILING_SLACK = 1e-10
 # Bytes of one row chunk of the one-hot code matrix in the count pass.
 _CHUNK_BYTES = 1 << 23
+# Codes up to this, or up to the row count if larger, are mapped through tables indexed
+# by code; a column with a larger code is mapped by sorting.
+_DENSE_CODES = 1 << 16
 # nearest_pd_repair's eigenvalue floor and its cap on clip-and-renormalize passes.
 _REPAIR_MIN_EIGENVALUE = 1e-8
 _REPAIR_MAX_ITER = 200
@@ -105,11 +108,17 @@ class ThresholdSet:
         """Translate original codes to contiguous internal codes 1..I_k."""
         codes = np.asarray(codes).astype(int, copy=False)
         top = self.categories[-1]
-        lut = np.zeros(top + 1, dtype=int)  # 0 marks a code that was not seen
-        lut[list(self.categories)] = np.arange(1, self.category_count + 1)
-        inside = np.clip(codes, 0, top)
-        mapped = lut[inside]
-        bad = (mapped == 0) | (inside != codes)
+        if top > max(codes.size, _DENSE_CODES):
+            # A lookup table as long as the largest code would dwarf the data: search instead.
+            known = np.array(self.categories)
+            mapped = np.searchsorted(known, codes) + 1
+            bad = known[np.minimum(mapped, len(known)) - 1] != codes
+        else:
+            lut = np.zeros(top + 1, dtype=int)  # 0 marks a code that was not seen
+            lut[list(self.categories)] = np.arange(1, self.category_count + 1)
+            inside = np.clip(codes, 0, top)
+            mapped = lut[inside]
+            bad = (mapped == 0) | (inside != codes)
         if bad.any():
             code = int(codes[np.argmax(bad)])
             raise DataError(f"category code {code} was not seen at threshold estimation")
@@ -555,12 +564,19 @@ def _ordinal_codes(data: DataMatrix):
     """Each column's observed codes, ascending, and the N x K matrix of its compact codes 1..I_k."""
     if not data.all_ordinal:
         raise DataError("polychoric correlations require all columns to be ordinal")
-    seen = [np.bincount(data.codes(j)) > 0 for j in range(data.n_cols)]
-    most = max((int(s.sum()) for s in seen), default=1)
+    # A table indexed by code would dwarf the data in a column whose codes reach far above
+    # the row count: that column's codes are sorted instead, None standing for its table.
+    sparse = data.values.max(axis=0) > max(data.n_rows, _DENSE_CODES)
+    seen = [None if sparse[j] else np.bincount(data.codes(j)) > 0 for j in range(data.n_cols)]
+    categories = [
+        np.unique(data.codes(j)) if s is None else np.flatnonzero(s) for j, s in enumerate(seen)
+    ]
+    most = max((len(c) for c in categories), default=1)
     codes = np.empty(data.values.shape, dtype=np.min_scalar_type(most))
     for j, s in enumerate(seen):
-        codes[:, j] = np.cumsum(s)[data.codes(j)]
-    return [np.flatnonzero(s) for s in seen], codes
+        col = data.codes(j)
+        codes[:, j] = np.searchsorted(categories[j], col) + 1 if s is None else np.cumsum(s)[col]
+    return categories, codes
 
 
 def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = False):

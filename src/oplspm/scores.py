@@ -23,16 +23,16 @@ from .polychoric import ThresholdSet
 
 __all__ = [
     "LatentThresholds",
+    "SubjectIntervals",
     "direct_scores",
     "raw_scale_scores",
     "latent_thresholds",
+    "subject_intervals",
     "predict_categories",
     "concordance_table",
 ]
 
 RULES = ("mode", "median", "mean")
-# Rows of one block of the mode rule's subjects x categories overlap probabilities.
-_MODE_ROWS = 8192
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +98,28 @@ def latent_thresholds(
     return LatentThresholds(cuts=tuple(cuts), category_counts=tuple(counts))
 
 
-def _subject_intervals(data, block, threshold_sets, block_weights, latent):
+@dataclass(frozen=True)
+class SubjectIntervals:
+    """One latent's subject intervals (alpha, beta] and their normal CDFs.
+
+    ``alpha <= beta`` row by row; ``cdf_alpha`` and ``cdf_beta`` are
+    Phi(alpha) and Phi(beta), taken once so every rule reads the same values.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    cdf_alpha: np.ndarray
+    cdf_beta: np.ndarray
+
+
+def _check_prediction_data(data: DataMatrix, model: PathModel) -> None:
+    if not data.all_ordinal:
+        raise DataError("category prediction requires ordinal data")
+    if data.columns != model.indicator_names:
+        raise DataError("data columns do not match the model's indicator order")
+
+
+def _block_intervals(data, block, threshold_sets, block_weights, latent):
     """Per-subject interval endpoints (alpha, beta] on the latent scale, one block column at a time."""
     lower = np.zeros(data.n_rows)
     upper = np.zeros(data.n_rows)
@@ -116,24 +137,61 @@ def _subject_intervals(data, block, threshold_sets, block_weights, latent):
             int(swapped.sum()),
         )
         lower[swapped], upper[swapped] = upper[swapped].copy(), lower[swapped].copy()
-    return lower, upper
+    return SubjectIntervals(lower, upper, ndtr(lower), ndtr(upper))
 
 
-def _overlap_probabilities(alpha, beta, cuts):
-    """P(C intersect A_i) for every homogeneous set A_i between the interior ``cuts``.
+def subject_intervals(
+    data: DataMatrix,
+    threshold_sets: list[ThresholdSet],
+    standardizing_weights: np.ndarray,
+    model: PathModel,
+) -> tuple[SubjectIntervals, ...]:
+    """Every subject's interval on each latent scale, one record per latent.
 
-    The first and last sets reach -inf/+inf so the sets tile the whole
-    axis: the overlaps then sum exactly to P(C) even when weighted
-    endpoints fall outside [-4, 4].
+    A subject's interval is bounded by the weighted sums of its responses'
+    lower and upper cut points (clipped to +-4). Negative weights can
+    reverse an interval; its endpoints are then swapped, with a warning.
+    ``predict_categories`` reads these; build them once to run several rules.
+    """
+    _check_prediction_data(data, model)
+    intervals = []
+    for j, latent in enumerate(model.latent_names):
+        block = model.block_slice(j)
+        w = standardizing_weights[block, j]
+        intervals.append(_block_intervals(data, block, threshold_sets, w, latent))
+    return tuple(intervals)
+
+
+def _overlap_probabilities(alpha, beta, cuts, cdf_alpha, cdf_beta):
+    """P(C intersect A_i) for each homogeneous set A_i between the interior ``cuts``, in order.
+
+    Yields one array over the subjects per set. ``cdf_alpha`` and
+    ``cdf_beta`` are Phi of the interval endpoints. The first and last sets
+    reach -inf/+inf so the sets tile the whole axis: the overlaps then sum
+    exactly to P(C) even when weighted endpoints fall outside [-4, 4].
     """
     lower_bounds = np.concatenate([[-np.inf], cuts])
     upper_bounds = np.concatenate([cuts, [np.inf]])
     # Phi(min(beta, u)) is Phi(u) where u < beta, else Phi(beta): one ndtr per endpoint and
     # bound. The min of the two Phis would differ, as ndtr is not monotone in the last bit.
-    hi = np.where(upper_bounds < beta[:, None], ndtr(upper_bounds), ndtr(beta)[:, None])
-    lo = np.where(lower_bounds > alpha[:, None], ndtr(lower_bounds), ndtr(alpha)[:, None])
-    hi -= lo
-    return np.clip(hi, 0.0, None, out=hi)
+    for lower, upper, cdf_lower, cdf_upper in zip(
+        lower_bounds, upper_bounds, ndtr(lower_bounds), ndtr(upper_bounds)
+    ):
+        hi = np.where(upper < beta, cdf_upper, cdf_beta)
+        hi -= np.where(lower > alpha, cdf_lower, cdf_alpha)
+        yield np.clip(hi, 0.0, None, out=hi)
+
+
+def _mode_categories(c: SubjectIntervals, cuts) -> np.ndarray:
+    """The 1-based set with the largest overlap per subject; ties go to the lower set."""
+    best = np.zeros(len(c.alpha))
+    out = np.ones(len(c.alpha), dtype=int)
+    overlaps = _overlap_probabilities(c.alpha, c.beta, cuts, c.cdf_alpha, c.cdf_beta)
+    for i, overlap in enumerate(overlaps, start=1):
+        larger = overlap > best
+        np.maximum(best, overlap, out=best)
+        out[larger] = i
+    return out
 
 
 def _bin_statistic(stat, interior_cuts):
@@ -149,6 +207,7 @@ def predict_categories(
     standardizing_weights: np.ndarray,
     model: PathModel,
     rule: str = "mode",
+    intervals: tuple[SubjectIntervals, ...] | None = None,
 ) -> np.ndarray:
     """Assign a latent category to every subject and latent variable.
 
@@ -159,30 +218,26 @@ def predict_categories(
         "median": the set containing the median of the standard normal
                   restricted to the subject's interval;
         "mean":   the same with the truncated mean.
+
+    ``intervals`` are ``subject_intervals`` of the same arguments, built
+    here when not given.
     """
     if rule not in RULES:
         raise DataError(f"unknown prediction rule '{rule}'; expected one of {RULES}")
-    if not data.all_ordinal:
-        raise DataError("category prediction requires ordinal data")
-    if data.columns != model.indicator_names:
-        raise DataError("data columns do not match the model's indicator order")
-    n = data.n_rows
-    out = np.empty((n, model.n_latents), dtype=int)
-    for j, latent in enumerate(model.latent_names):
-        block = model.block_slice(j)
-        w = standardizing_weights[block, j]
-        alpha, beta = _subject_intervals(data, block, threshold_sets, w, latent)
+    _check_prediction_data(data, model)
+    if intervals is None:
+        intervals = subject_intervals(data, threshold_sets, standardizing_weights, model)
+    out = np.empty((data.n_rows, model.n_latents), dtype=int)
+    for j, (latent, c) in enumerate(zip(model.latent_names, intervals)):
         if rule == "mode":
-            for start in range(0, n, _MODE_ROWS):
-                rows = slice(start, start + _MODE_ROWS)
-                overlap = _overlap_probabilities(alpha[rows], beta[rows], lt.cuts[j])
-                out[rows, j] = np.argmax(overlap, axis=1) + 1
+            out[:, j] = _mode_categories(c, lt.cuts[j])
         else:
+            cdf = (c.cdf_alpha, c.cdf_beta)
             try:
                 if rule == "median":
-                    stat = truncated_normal_median(alpha, beta)
+                    stat = truncated_normal_median(c.alpha, c.beta, cdf=cdf)
                 else:
-                    stat = truncated_normal_mean(alpha, beta)
+                    stat = truncated_normal_mean(c.alpha, c.beta, cdf=cdf)
             except ValueError as exc:
                 raise DataError(f"latent '{latent}': {exc}") from None
             out[:, j] = _bin_statistic(stat, lt.cuts[j])

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -223,11 +224,20 @@ class TestPredictScoresCommand:
             rules.append(kwargs["rule"])
             return real(*args, **kwargs)
 
+        real_intervals = cli.subject_intervals
+        builds = []
+
+        def counting_intervals(*args, **kwargs):
+            builds.append(1)
+            return real_intervals(*args, **kwargs)
+
         monkeypatch.setattr(cli, "predict_categories", counting)
+        monkeypatch.setattr(cli, "subject_intervals", counting_intervals)
         common = ["predict-scores", "--model", str(model_path), "--data", str(data_path)]
         outs = {name: tmp_path / name for name in ("median", "mode", "plain")}
         assert main([*common, "--rule", "median", "--coherency", "--out", str(outs["median"])]) == 0
         assert rules == ["median", "mode", "mean"]
+        assert len(builds) == 1  # every rule reads the same subject intervals
         assert main([*common, "--rule", "mode", "--coherency", "--out", str(outs["mode"])]) == 0
         assert main([*common, "--rule", "median", "--out", str(outs["plain"])]) == 0
         # each rule's row is the reused prediction in one run and a fresh one in the other
@@ -365,6 +375,77 @@ class TestOutputFormat:
         for path in files:
             legacy = tmp_path / "legacy" / path.relative_to(tmp_path / "plain")
             assert path.read_bytes() == legacy.read_bytes(), path.name
+
+
+class TestNumberedIntegers:
+    """The bulk writer of integer tables against the csv module it stands in for."""
+
+    @pytest.mark.parametrize("chunk, rows", [(cli._ROW_CHUNK, 1), (7, 1), (7, 7), (7, 8), (7, 23)])
+    def test_bytes_match_csv_writer(self, tmp_path, rng, monkeypatch, chunk, rows):
+        monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
+        values = rng.integers(1, 10, size=(rows, 3)) * 10 ** rng.integers(0, 13, size=(rows, 3))
+        header = ["subject", "a", "b", "c"]
+        cli._write_csv(tmp_path / "bulk.csv", header, cli._NumberedIntegers(values))
+        with (tmp_path / "csv.csv").open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows([i, *row] for i, row in enumerate(values.tolist(), 1))
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+
+
+class TestInputErrors:
+    """Unreadable or out-of-range input exits 2 with one line naming the file or column."""
+
+    @pytest.mark.parametrize("where", ["header", "late row"])
+    def test_non_utf8_data_file(self, tmp_path, rng, capsys, where):
+        _, _, _, data_path = write_inputs(tmp_path, rng, n=3000)
+        text = data_path.read_bytes()
+        at = text.index(b",") if where == "header" else len(text) - 3
+        data_path.write_bytes(text[:at] + b"\xff" + text[at:])
+        out = tmp_path / "out"
+        assert main(["polychoric", "--data", str(data_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data file '{data_path}' is not UTF-8 text")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_non_utf8_model_file(self, tmp_path, rng, capsys):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        model_path.write_bytes(b"# caf\xe9\n" + model_path.read_bytes())
+        out = tmp_path / "out"
+        code = main(["fit", "--model", str(model_path), "--data", str(data_path),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model file '{model_path}' is not UTF-8 text")
+        assert err.count("\n") == 1
+
+    def test_code_beyond_float_integers(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,c\n1,2,1\n2,1,2\n1,1,2\n2,2,1e20\n1,2,1\n")
+        assert main(["polychoric", "--data", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: ordinal column 'c' holds code 1e+20; codes must be below 2**53\n"
+        )
+
+    def test_code_far_above_the_row_count(self, tmp_path):
+        peaks = {}
+        for top in (3, 20_000_001):
+            path = tmp_path / f"codes_{top}.csv"
+            path.write_text(f"a,b,c\n1,2,1\n2,1,2\n1,1,2\n2,2,{top}\n1,2,1\n")
+            out = tmp_path / f"out_{top}"
+            tracemalloc.start()
+            try:
+                assert main(["polychoric", "--data", str(path), "--out", str(out)]) == 0
+                peaks[top] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert read_rows(out / "category_map.csv")[-1]["original_code"] == str(top)
+        # a table indexed by code would take 160 MB
+        assert peaks[20_000_001] < peaks[3] + 4 * 2**20
+        small, huge = (read_rows(tmp_path / f"out_{top}" / "polychoric_matrix.csv")
+                       for top in (3, 20_000_001))
+        assert small == huge
 
 
 class TestOutputContract:

@@ -347,6 +347,15 @@ class TestTruncatedNormal:
             0.5 * (std_normal_cdf(a) + std_normal_cdf(b)), abs=1e-10
         )
 
+    def test_given_cdf_is_the_same_formula(self, rng):
+        a = rng.uniform(-5.0, 3.0, size=500)
+        b = a + rng.exponential(1.0, size=500)
+        cdf = (ndtr(a), ndtr(b))
+        assert np.array_equal(truncated_normal_mean(a, b, cdf=cdf), truncated_normal_mean(a, b))
+        assert np.array_equal(
+            truncated_normal_median(a, b, cdf=cdf), truncated_normal_median(a, b)
+        )
+
     def test_empty_interval_errors(self):
         with pytest.raises(ValueError):
             truncated_normal_mean(30.0, 31.0)

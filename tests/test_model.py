@@ -218,6 +218,27 @@ class TestLoadData:
                 ("ordinal", "ordinal"),
             )
 
+    def test_ordinal_codes_below_two_to_the_53(self):
+        values = np.array([[1.0, 1], [2, 2], [3, 2.0**53 - 1]])
+        assert DataMatrix(values, ("a", "b"), ("ordinal", "ordinal")).codes(1)[2] == 2**53 - 1
+        values[2, 1] = 2.0**53
+        with pytest.raises(DataError) as info:
+            DataMatrix(values, ("a", "b"), ("ordinal", "ordinal"))
+        assert str(info.value) == (
+            "ordinal column 'b' holds code 9.0072e+15; codes must be below 2**53"
+        )
+        # every float from 2**53 on is integral, so such a column is not inferred ordinal
+        assert load_csv(io.StringIO("a,b\n1,2\n2,1e20\n3,3\n")).kinds == ("ordinal", "interval")
+
+    def test_non_utf8_file_names_it(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,b\n1,2\n2,1\n3,3\n# café\n".encode("latin-1"))
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == (
+            f"data file '{path}' is not UTF-8 text: invalid continuation byte (byte 0xe9)"
+        )
+
     def test_minimum_rows(self):
         with pytest.raises(DataError, match="at least 3"):
             DataMatrix(np.ones((2, 1)), ("a",), ("interval",))

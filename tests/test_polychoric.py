@@ -670,6 +670,30 @@ class TestCountPass:
         assert ts.map_codes(original.astype(float)).tolist() == expected
 
 
+    @pytest.mark.parametrize("code", [2, 0, -3, 20_000_002, 4])
+    def test_map_codes_far_above_the_row_count(self, code):
+        # a table indexed by code would hold 20 million entries: the codes are searched
+        ts = ThresholdSet(cuts=np.array([-0.5, 0.5]), categories=(1, 3, 20_000_001))
+        assert ts.map_codes(np.array([20_000_001, 1, 3, 1])).tolist() == [3, 1, 2, 1]
+        with pytest.raises(DataError) as info:
+            ts.map_codes(np.array([20_000_001, 1, code, 3, 9]))
+        assert str(info.value) == f"category code {code} was not seen at threshold estimation"
+
+    def test_codes_far_above_the_row_count(self, rng):
+        values = rng.integers(1, 5, size=(80, 3)).astype(float)
+        # code 4 becomes 70 000 in two columns and 20 000 001 in the third
+        relabelled = np.where(values == 4, [70_000, 70_000, 20_000_001], values)
+        kinds = ("ordinal",) * 3
+        sigma, thresholds = polychoric_matrix(DataMatrix(values, ("a", "b", "c"), kinds))
+        sigma_r, thresholds_r = polychoric_matrix(DataMatrix(relabelled, ("a", "b", "c"), kinds))
+        assert np.array_equal(sigma.values, sigma_r.values)
+        assert [ts.categories for ts in thresholds_r] == [(1, 2, 3, 70_000)] * 2 + [
+            (1, 2, 3, 20_000_001)
+        ]
+        for ts, ts_r in zip(thresholds, thresholds_r):
+            assert np.array_equal(ts.cuts, ts_r.cuts)
+
+
 class TestBrentOracleAgreement:
     """The batched solver against the pair-by-pair scan plus Brent it replaced."""
 

@@ -11,8 +11,10 @@ from oplspm.model import DataMatrix, build_model, parse_model
 from oplspm.pls import score_based_pls_fit
 from oplspm.polychoric import ThresholdSet, estimate_thresholds, pearson_matrix, polychoric_matrix
 from oplspm.scores import (
+    SubjectIntervals,
+    _block_intervals,
+    _mode_categories,
     _overlap_probabilities,
-    _subject_intervals,
     concordance_table,
     direct_scores,
     latent_thresholds,
@@ -134,7 +136,7 @@ class TestPredictCategories:
         padded = np.array([-4.0, -0.8, 0.3, 1.1, 4.0])
         alpha = rng.uniform(-5.5, 1.0, size=40)
         beta = alpha + rng.uniform(0.01, 3.0, size=40)
-        probs = _overlap_probabilities(alpha, beta, padded)
+        probs = overlaps(alpha, beta, padded)
         total = std_normal_cdf(beta) - std_normal_cdf(alpha)
         assert np.allclose(probs.sum(axis=1), total, atol=1e-10)
         assert np.all(probs >= 0.0)
@@ -176,6 +178,11 @@ class TestPredictCategories:
             predict_categories(data, lt, thresholds, fit.weights.standardized, model, rule="max")
 
 
+def overlaps(alpha, beta, cuts):
+    """``_overlap_probabilities`` as one subjects x sets array."""
+    return np.column_stack(list(_overlap_probabilities(alpha, beta, cuts, ndtr(alpha), ndtr(beta))))
+
+
 def overlap_oracle(alpha, beta, cuts):
     """The mode rule's overlaps with Phi taken of every clipped endpoint, frozen."""
     lower_bounds = np.concatenate([[-np.inf], cuts])
@@ -191,8 +198,11 @@ class TestModeOverlaps:
     CUTS = np.array([-2.3, -0.8, 0.0, 0.3, 1.1, 3.9])
 
     def assert_equal_to_oracle(self, alpha, beta, cuts):
-        got = _overlap_probabilities(alpha, beta, cuts)
-        assert np.array_equal(got, overlap_oracle(alpha, beta, cuts))
+        oracle = overlap_oracle(alpha, beta, cuts)
+        assert np.array_equal(overlaps(alpha, beta, cuts), oracle)
+        # the running maximum over the sets picks the first largest overlap, as argmax does
+        intervals = SubjectIntervals(alpha, beta, ndtr(alpha), ndtr(beta))
+        assert np.array_equal(_mode_categories(intervals, cuts), np.argmax(oracle, axis=1) + 1)
 
     def test_random_intervals(self, rng):
         alpha = rng.uniform(-5.5, 3.0, size=2000)
@@ -227,26 +237,58 @@ class TestModeOverlaps:
         _, thresholds = polychoric_matrix(data)
         block = model.block_slice(0)
         weights = np.array([0.9, -0.6])  # a negative weight reverses some intervals
-        alpha, beta = _subject_intervals(data, block, thresholds, weights, "a")
+        c = _block_intervals(data, block, thresholds, weights, "a")
+        alpha, beta = c.alpha, c.beta
         assert "reversed by negative weights; endpoints swapped" in caplog.text
         cuts = weights @ np.vstack([thresholds[k].cuts for k in range(block.start, block.stop)])
         self.assert_equal_to_oracle(alpha, beta, np.sort(cuts))
         self.assert_equal_to_oracle(beta, alpha, np.sort(cuts))
 
-    def test_mode_rule_on_ecsi_sample(self, rng, monkeypatch):
+    def test_mode_rule_on_ecsi_sample(self, rng):
         model = parse_model(ECSI_MODEL)
         data = ecsi_dataset(rng, n=400)
         fit, thresholds, lt = fit_opls(data, model)
         sw = fit.weights.standardized
-        # 7-row blocks take the 400 subjects in 58 blocks, the last of one row
-        for mode_rows in (scores._MODE_ROWS, 7):
-            monkeypatch.setattr(scores, "_MODE_ROWS", mode_rows)
-            pred = predict_categories(data, lt, thresholds, sw, model, rule="mode")
-            for j, latent in enumerate(model.latent_names):
-                block = model.block_slice(j)
-                alpha, beta = _subject_intervals(data, block, thresholds, sw[block, j], latent)
-                expected = np.argmax(overlap_oracle(alpha, beta, lt.cuts[j]), axis=1) + 1
-                assert np.array_equal(pred[:, j], expected), (mode_rows, latent)
+        pred = predict_categories(data, lt, thresholds, sw, model, rule="mode")
+        for j, latent in enumerate(model.latent_names):
+            block = model.block_slice(j)
+            c = _block_intervals(data, block, thresholds, sw[block, j], latent)
+            expected = np.argmax(overlap_oracle(c.alpha, c.beta, lt.cuts[j]), axis=1) + 1
+            assert np.array_equal(pred[:, j], expected), latent
+
+
+class TestSharedIntervals:
+    """Intervals built once and read by every rule give each rule's own prediction."""
+
+    def test_shared_equals_fresh_for_every_rule(self, rng, caplog):
+        model = parse_model(ECSI_MODEL)
+        data = ecsi_dataset(rng, n=400)
+        fit, thresholds, _ = fit_opls(data, model)
+        sw = fit.weights.standardized.copy()
+        sw[model.block_slice(0).start, 0] *= -1  # reverses some of the first latent's intervals
+        lt = latent_thresholds(thresholds, sw, model)
+        intervals = scores.subject_intervals(data, thresholds, sw, model)
+        assert caplog.text.count("endpoints swapped") == 1
+        for c in intervals:
+            assert np.all(c.alpha <= c.beta)
+            assert np.array_equal(c.cdf_alpha, ndtr(c.alpha))
+            assert np.array_equal(c.cdf_beta, ndtr(c.beta))
+        for rule in scores.RULES:
+            shared = predict_categories(data, lt, thresholds, sw, model, rule, intervals)
+            fresh = predict_categories(data, lt, thresholds, sw, model, rule=rule)
+            assert np.array_equal(shared, fresh), rule
+
+    def test_mean_rule_without_mass_names_the_latent(self, rng):
+        model = two_block_model()
+        data = homogeneous_dataset(model, rng)
+        fit, thresholds, lt = fit_opls(data, model)
+        sw = fit.weights.standardized
+        first, _ = scores.subject_intervals(data, thresholds, sw, model)
+        far = np.full(data.n_rows, 30.0)  # Phi is 1.0 at both ends
+        empty = scores.SubjectIntervals(far, far + 1.0, ndtr(far), ndtr(far + 1.0))
+        with pytest.raises(DataError) as info:
+            predict_categories(data, lt, thresholds, sw, model, "mean", (first, empty))
+        assert str(info.value) == "latent 'b': truncation interval carries no probability mass"
 
 
 class TestRawScaleAndConcordance:
