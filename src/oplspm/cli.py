@@ -50,40 +50,29 @@ EXIT_INTERNAL = 4
 _ROW_CHUNK = 1 << 14
 
 
-class _NumberedIntegers:
-    """An integer matrix whose CSV rows are ``[i, *row]``, i counting from 1.
-
-    Its chunks of ``_ROW_CHUNK`` numbered rows are built only as they are written.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def chunks(self):
-        for start in range(0, len(self.values), _ROW_CHUNK):
-            block = self.values[start : start + _ROW_CHUNK]
-            yield np.column_stack([np.arange(start + 1, start + 1 + len(block)), block])
-
-
 def _write_csv(path: Path, header, rows) -> None:
     """Write a header and rows of Python str, int, float, bool or None cells.
 
     The csv module writes None as an empty cell and everything else with
     ``str``, which for a Python float is its shortest round-trip form (full
     double precision). Convert numpy values first (``ndarray.tolist()``,
-    ``float()``): their ``str`` follows numpy's print options. A
-    ``_NumberedIntegers`` is written a chunk per call with the same bytes
-    csv would write: ``%d`` of a Python int is its ``str``, and csv quotes
-    no digits and ends each row with CR LF.
+    ``float()``): their ``str`` follows numpy's print options.
+
+    An integer ndarray is written as the rows ``[i, *row]``, i counting
+    from 1, one ``_ROW_CHUNK`` of rows per call, in the bytes csv would
+    write: ``%d`` of a Python int is its ``str``, and csv quotes no digits
+    and ends each row with CR LF.
     """
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        if not isinstance(rows, _NumberedIntegers):
+        if not isinstance(rows, np.ndarray):
             writer.writerows(rows)
             return
-        for chunk in rows.chunks():
-            line = ",".join(["%d"] * chunk.shape[1]) + "\r\n"
+        line = ",".join(["%d"] * (rows.shape[1] + 1)) + "\r\n"
+        for start in range(0, len(rows), _ROW_CHUNK):
+            block = rows[start : start + _ROW_CHUNK]
+            chunk = np.column_stack([np.arange(start + 1, start + 1 + len(block)), block])
             handle.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
@@ -246,14 +235,13 @@ def cmd_predict_scores(args):
         counts = lt.category_counts
         rounded = np.clip(np.floor(raw + 0.5), 1, counts).astype(np.min_scalar_type(max(counts)))
         del raw
-    # Built after the Pearson fit, whose centred copy of the data would otherwise
-    # coexist with them, and shared by every rule.
-    intervals = subject_intervals(data, thresholds, weights, model)
+    # Shared by every rule with --coherency, and built after the Pearson fit, whose centred
+    # copy of the data would otherwise coexist with them. One rule builds one latent at a time.
+    intervals = subject_intervals(data, thresholds, weights, model) if args.coherency else None
     predicted = predict_categories(data, lt, thresholds, weights, model, rule=args.rule,
                                    intervals=intervals)
     tables = {
-        "predicted_categories.csv": (["subject", *model.latent_names],
-                                     _NumberedIntegers(predicted)),
+        "predicted_categories.csv": (["subject", *model.latent_names], predicted),
         "latent_thresholds.csv": (
             ["latent", "cut_index", "value"],
             _indexed_rows(model.latent_names, [cuts.tolist() for cuts in lt.cuts]),

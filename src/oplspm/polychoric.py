@@ -54,7 +54,8 @@ _CEILING_SLACK = 1e-10
 # Bytes of one row chunk of the one-hot code matrix in the count pass.
 _CHUNK_BYTES = 1 << 23
 # Codes up to this, or up to the row count if larger, are mapped through tables indexed
-# by code; a column with a larger code is mapped by sorting.
+# by code; a column with a larger code is mapped by sorting. Sorting every column instead
+# made predict-scores on a 100 000 x 24 survey about 12% slower.
 _DENSE_CODES = 1 << 16
 # nearest_pd_repair's eigenvalue floor and its cap on clip-and-renormalize passes.
 _REPAIR_MIN_EIGENVALUE = 1e-8

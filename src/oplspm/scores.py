@@ -154,12 +154,15 @@ def subject_intervals(
     ``predict_categories`` reads these; build them once to run several rules.
     """
     _check_prediction_data(data, model)
-    intervals = []
+    return tuple(_latent_intervals(data, threshold_sets, standardizing_weights, model))
+
+
+def _latent_intervals(data, threshold_sets, standardizing_weights, model):
+    """``subject_intervals`` one latent at a time, each built only when it is reached."""
     for j, latent in enumerate(model.latent_names):
         block = model.block_slice(j)
         w = standardizing_weights[block, j]
-        intervals.append(_block_intervals(data, block, threshold_sets, w, latent))
-    return tuple(intervals)
+        yield _block_intervals(data, block, threshold_sets, w, latent)
 
 
 def _overlap_probabilities(alpha, beta, cuts, cdf_alpha, cdf_beta):
@@ -219,14 +222,20 @@ def predict_categories(
                   restricted to the subject's interval;
         "mean":   the same with the truncated mean.
 
-    ``intervals`` are ``subject_intervals`` of the same arguments, built
-    here when not given.
+    ``intervals`` are ``subject_intervals`` of the same arguments. When they
+    are not given, each latent's intervals are built as it is reached and
+    dropped after it.
     """
     if rule not in RULES:
         raise DataError(f"unknown prediction rule '{rule}'; expected one of {RULES}")
     _check_prediction_data(data, model)
     if intervals is None:
-        intervals = subject_intervals(data, threshold_sets, standardizing_weights, model)
+        intervals = _latent_intervals(data, threshold_sets, standardizing_weights, model)
+    elif len(intervals) != model.n_latents or any(len(c.alpha) != data.n_rows for c in intervals):
+        raise DataError(
+            f"intervals do not match the data: expected {model.n_latents} latents "
+            f"of {data.n_rows} subjects"
+        )
     out = np.empty((data.n_rows, model.n_latents), dtype=int)
     for j, (latent, c) in enumerate(zip(model.latent_names, intervals)):
         if rule == "mode":

@@ -240,6 +240,7 @@ class TestPredictScoresCommand:
         assert len(builds) == 1  # every rule reads the same subject intervals
         assert main([*common, "--rule", "mode", "--coherency", "--out", str(outs["mode"])]) == 0
         assert main([*common, "--rule", "median", "--out", str(outs["plain"])]) == 0
+        assert len(builds) == 2  # one rule builds each latent's intervals as it reaches it
         # each rule's row is the reused prediction in one run and a fresh one in the other
         assert (outs["median"] / "coherency.csv").read_bytes() == (
             outs["mode"] / "coherency.csv"
@@ -377,7 +378,7 @@ class TestOutputFormat:
             assert path.read_bytes() == legacy.read_bytes(), path.name
 
 
-class TestNumberedIntegers:
+class TestIntegerTableWriter:
     """The bulk writer of integer tables against the csv module it stands in for."""
 
     @pytest.mark.parametrize("chunk, rows", [(cli._ROW_CHUNK, 1), (7, 1), (7, 7), (7, 8), (7, 23)])
@@ -385,7 +386,7 @@ class TestNumberedIntegers:
         monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
         values = rng.integers(1, 10, size=(rows, 3)) * 10 ** rng.integers(0, 13, size=(rows, 3))
         header = ["subject", "a", "b", "c"]
-        cli._write_csv(tmp_path / "bulk.csv", header, cli._NumberedIntegers(values))
+        cli._write_csv(tmp_path / "bulk.csv", header, values)
         with (tmp_path / "csv.csv").open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)

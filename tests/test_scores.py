@@ -290,6 +290,19 @@ class TestSharedIntervals:
             predict_categories(data, lt, thresholds, sw, model, "mean", (first, empty))
         assert str(info.value) == "latent 'b': truncation interval carries no probability mass"
 
+    def test_intervals_of_other_shapes_are_rejected(self, rng):
+        model = two_block_model()
+        data = homogeneous_dataset(model, rng)
+        fit, thresholds, lt = fit_opls(data, model)
+        sw = fit.weights.standardized
+        first, second = scores.subject_intervals(data, thresholds, sw, model)
+        shorter = scores.SubjectIntervals(*(v[:-1] for v in vars(second).values()))
+        message = f"intervals do not match the data: expected 2 latents of {data.n_rows} subjects"
+        for intervals in [(first,), (first, second, first), (first, shorter)]:
+            with pytest.raises(DataError) as info:
+                predict_categories(data, lt, thresholds, sw, model, "median", intervals)
+            assert str(info.value) == message
+
 
 class TestRawScaleAndConcordance:
     def test_raw_scores_stay_on_scale(self, rng):
