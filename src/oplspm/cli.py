@@ -34,11 +34,11 @@ from .polychoric import pearson_matrix, polychoric_matrix
 from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .scores import (
     RULES,
+    _latent_predictions,
     concordance_table,
     latent_thresholds,
     predict_categories,
     raw_scale_scores,
-    subject_intervals,
 )
 from .simulate import PERCENTILES, SimulationConfig, run_study
 
@@ -227,38 +227,35 @@ def cmd_predict_scores(args):
     fit = fit_correlation_model(sigma, model, tol=args.tol, max_iter=args.max_iter)
     weights = fit.weights.standardized
     lt = latent_thresholds(thresholds, weights, model)
-    if args.coherency:
-        pls_fit = fit_correlation_model(pearson_matrix(data), model,
-                                        tol=args.tol, max_iter=args.max_iter)
-        raw = raw_scale_scores(data, pls_fit.weights.raw)
-        # Held through every rule's prediction, so as small an integer as fits.
-        counts = lt.category_counts
-        rounded = np.clip(np.floor(raw + 0.5), 1, counts).astype(np.min_scalar_type(max(counts)))
-        del raw
-    # Shared by every rule with --coherency, and built after the Pearson fit, whose centred
-    # copy of the data would otherwise coexist with them. One rule builds one latent at a time.
-    intervals = subject_intervals(data, thresholds, weights, model) if args.coherency else None
-    predicted = predict_categories(data, lt, thresholds, weights, model, rule=args.rule,
-                                   intervals=intervals)
     tables = {
-        "predicted_categories.csv": (["subject", *model.latent_names], predicted),
         "latent_thresholds.csv": (
             ["latent", "cut_index", "value"],
             _indexed_rows(model.latent_names, [cuts.tolist() for cuts in lt.cuts]),
         ),
     }
     if args.coherency:
-        rows = []
-        for rule in RULES:
-            pred = predicted if rule == args.rule else predict_categories(
-                data, lt, thresholds, weights, model, rule=rule, intervals=intervals
-            )
-            # One latent at a time keeps the working arrays at one column.
-            for j, latent in enumerate(model.latent_names):
-                table = concordance_table(pred[:, j : j + 1], rounded[:, j : j + 1])
-                rows.append([rule, latent, *(float(table[k][0]) for k in ("exact", "within_one"))])
-            del pred  # before the next rule's prediction is made
-        tables["coherency.csv"] = (["rule", "latent", "exact_pct", "within_one_pct"], rows)
+        pls_fit = fit_correlation_model(pearson_matrix(data), model,
+                                        tol=args.tol, max_iter=args.max_iter)
+        raw = raw_scale_scores(data, pls_fit.weights.raw, thresholds)
+        # Held through the whole pass over the latents, so as small an integer as fits.
+        counts = lt.category_counts
+        rounded = np.clip(np.floor(raw + 0.5), 1, counts).astype(np.min_scalar_type(max(counts)))
+        del raw
+        # One pass over the latents runs every rule on that latent's intervals.
+        predicted = np.empty((data.n_rows, model.n_latents), dtype=int)
+        rows = {rule: [] for rule in RULES}
+        latents = _latent_predictions(data, lt, thresholds, weights, model, RULES)
+        for j, (latent, columns) in enumerate(zip(model.latent_names, latents)):
+            predicted[:, j] = columns[RULES.index(args.rule)]
+            for rule, column in zip(RULES, columns):
+                table = concordance_table(column[:, None], rounded[:, j : j + 1])
+                rows[rule].append([rule, latent, *(float(table[k][0])
+                                                   for k in ("exact", "within_one"))])
+        tables["coherency.csv"] = (["rule", "latent", "exact_pct", "within_one_pct"],
+                                   [row for rule in RULES for row in rows[rule]])
+    else:
+        predicted = predict_categories(data, lt, thresholds, weights, model, rule=args.rule)
+    tables["predicted_categories.csv"] = (["subject", *model.latent_names], predicted)
     extra = {"rule": args.rule, "pd_status": sigma.pd_status}
     message = f"predicted categories ({args.rule}) for {data.n_rows} subjects"
     return tables, [args.model, args.data], extra, message

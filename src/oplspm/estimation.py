@@ -19,6 +19,7 @@ from .pls import _check_limits, _fit_stack
 from .polychoric import (  # noqa: F401
     CorrelationMatrix,
     _count_polychoric,
+    _data_correlations,
     _ordinal_codes,
     _positive_definite,
     _weighted_correlations,
@@ -260,7 +261,10 @@ def _pearson_replicates(data: DataMatrix):
 
     The function maps B x N row counts to the correlation matrices of the
     replicates that have one, stacked in replicate order: a replicate in
-    which some column is constant has none. Constancy is tested exactly,
+    which some column is constant, or has a weighted variance that
+    overflows or cancels to zero, has none. A column for which
+    ``pearson_matrix`` of the data themselves raises DataError raises it
+    here, before any replicate is drawn. Constancy is tested exactly,
     on each column's dense value ranks split into two base-2**13 digits:
     for fewer than 2**26 rows the count-weighted sum of squared digit
     deviations from a drawn row is an integer below 2**53, so float64
@@ -268,6 +272,7 @@ def _pearson_replicates(data: DataMatrix):
     """
     values = data.values
     n, k = values.shape
+    _data_correlations(values, data.columns)
     ranks = np.column_stack([np.unique(col, return_inverse=True)[1] for col in values.T])
     digits = np.hstack([ranks >> 13, ranks & 0x1FFF]).astype(float)
     squares = digits * digits
@@ -276,7 +281,8 @@ def _pearson_replicates(data: DataMatrix):
         ref = digits[np.argmax(counts > 0, axis=1)]
         spread = counts @ squares - 2.0 * ref * (counts @ digits) + n * ref * ref
         varies = np.all(spread[:, :k] + spread[:, k:] > 0.0, axis=1)
-        return _weighted_correlations(values, counts[varies])
+        corr = _weighted_correlations(values, counts[varies])
+        return corr[np.isfinite(corr).all(axis=(1, 2))]
 
     return correlations
 
@@ -323,11 +329,13 @@ def bootstrap_inner(
     (``mode="opls"``, which still solves every pair of every replicate and
     is slow; budget accordingly), then one stacked PLS fit and one stacked
     solve per structural equation. A replicate fails alone, and is counted
-    in ``n_failed``, when a column is constant in it, its matrix is not
-    positive definite, its PLS update is singular or does not converge,
-    an inner system is singular, or its polychoric estimation raises.
-    A standard error needs two replicates: ``n_boot`` below 2, or fewer
-    than 2 replicates that succeed, raise ``EstimationError``.
+    in ``n_failed``, when a column is constant in it, its Pearson moments
+    overflow, its matrix is not positive definite, its PLS update is
+    singular or does not converge, an inner system is singular, or its
+    polychoric estimation raises. A standard error needs two replicates:
+    ``n_boot`` below 2, or fewer than 2 replicates that succeed, raise
+    ``EstimationError``. In pls mode, a column that is constant, or whose
+    squares overflow or underflow, in the data themselves raises ``DataError``.
     """
     if n_boot < 2:
         raise EstimationError(f"n_boot must be at least 2, got {n_boot}")

@@ -169,6 +169,8 @@ class CorrelationMatrix:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DataError("correlation matrix must be square")
+        if not np.all(np.isfinite(values)):
+            raise DataError("correlation matrix has non-finite entries")
         if np.max(np.abs(values - values.T)) > 1e-12:
             raise DataError("correlation matrix must be symmetric")
         if np.max(np.abs(np.diag(values) - 1.0)) > 1e-12:
@@ -614,27 +616,48 @@ def _weighted_correlations(values, counts) -> np.ndarray:
     and given a column of ones, X1, so that (w * X1)^T X1 holds a copy's
     cross-products, column sums and total. Rows are taken in chunks whose
     size depends on K alone, so a copy's arithmetic does not depend on how
-    many copies share the call. A column constant within a copy gives
-    non-finite entries; callers rule that out first. Returns B x K x K.
+    many copies share the call. A column whose weighted variance is not a
+    positive finite number, as when its squares overflow or underflow or
+    it is constant within a copy, gets NaN on that copy's diagonal, without
+    a warning. Returns B x K x K.
     """
     n, k = values.shape
     x = np.empty((n, k + 1))
-    np.subtract(values, values.mean(axis=0), out=x[:, :k])
-    x[:, k] = 1.0
-    step = max(1, _MOMENT_BYTES // (8 * (k + 1)))
     moments = np.zeros((counts.shape[0], k + 1, k + 1))
-    for start in range(0, n, step):
-        rows = x[start : start + step]
-        moments += (counts[:, start : start + step, None] * rows).swapaxes(-1, -2) @ rows
-    sums, total = moments[:, k, :k], moments[:, k, k, None, None]
-    corr = moments[:, :k, :k] - sums[:, :, None] * sums[:, None, :] / total
-    sd = np.sqrt(np.diagonal(corr, axis1=-2, axis2=-1))
-    corr /= sd[:, :, None]
-    corr /= sd[:, None, :]
-    corr += corr.swapaxes(-1, -2)
+    step = max(1, _MOMENT_BYTES // (8 * (k + 1)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.subtract(values, values.mean(axis=0), out=x[:, :k])
+        x[:, k] = 1.0
+        for start in range(0, n, step):
+            rows = x[start : start + step]
+            moments += (counts[:, start : start + step, None] * rows).swapaxes(-1, -2) @ rows
+        sums, total = moments[:, k, :k], moments[:, k, k, None, None]
+        corr = moments[:, :k, :k] - sums[:, :, None] * sums[:, None, :] / total
+        sd = np.sqrt(np.diagonal(corr, axis1=-2, axis2=-1))
+        corr /= sd[:, :, None]
+        corr /= sd[:, None, :]
+        corr += corr.swapaxes(-1, -2)
     corr *= 0.5
     np.clip(corr, -1.0, 1.0, out=corr)
-    corr[:, np.arange(k), np.arange(k)] = 1.0
+    usable = np.isfinite(sd) & (sd > 0.0)
+    corr[:, np.arange(k), np.arange(k)] = np.where(usable, 1.0, np.nan)
+    return corr
+
+
+def _data_correlations(values, names) -> np.ndarray:
+    """The one-copy, all-ones ``_weighted_correlations`` of N x K ``values``.
+
+    Raises DataError naming the first column that is constant, or whose
+    squares overflow or underflow.
+    """
+    constant = values.max(axis=0) == values.min(axis=0)
+    if constant.any():
+        raise DataError(f"zero-variance column '{names[int(np.argmax(constant))]}'")
+    corr = _weighted_correlations(values, np.ones((1, values.shape[0])))[0]
+    unusable = np.isnan(np.diagonal(corr))
+    if unusable.any():
+        raise DataError(f"column '{names[int(np.argmax(unusable))]}' holds values too large or "
+                        "too small for Pearson correlations: their squares overflow or underflow")
     return corr
 
 
@@ -644,14 +667,12 @@ def pearson_matrix(data) -> CorrelationMatrix:
     This is the one-copy, all-ones case of the count-weighted moments the
     bootstrap uses.
     """
-    values = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
-    constant = values.max(axis=0) == values.min(axis=0)
-    if constant.any():
-        j = int(np.argmax(constant))
-        name = data.columns[j] if isinstance(data, DataMatrix) else str(j)
-        raise DataError(f"zero-variance column '{name}'")
-    corr = _weighted_correlations(values, np.ones((1, values.shape[0])))
-    return CorrelationMatrix.build(corr[0], kind="pearson")
+    if isinstance(data, DataMatrix):
+        values, names = data.values, data.columns
+    else:
+        values = np.asarray(data, dtype=float)
+        names = [str(j) for j in range(values.shape[1])]
+    return CorrelationMatrix.build(_data_correlations(values, names), kind="pearson")
 
 
 def _positive_definite(values) -> np.ndarray:

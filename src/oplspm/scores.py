@@ -23,11 +23,9 @@ from .polychoric import ThresholdSet
 
 __all__ = [
     "LatentThresholds",
-    "SubjectIntervals",
     "direct_scores",
     "raw_scale_scores",
     "latent_thresholds",
-    "subject_intervals",
     "predict_categories",
     "concordance_table",
 ]
@@ -60,14 +58,23 @@ def direct_scores(data: DataMatrix, standardizing_weights: np.ndarray) -> np.nda
     return _standardized_indicators(data) @ standardizing_weights
 
 
-def raw_scale_scores(data: DataMatrix, raw_weights: np.ndarray) -> np.ndarray:
-    """Weighted averages of the raw indicator values (weights rescaled to sum 1).
+def raw_scale_scores(
+    data: DataMatrix, raw_weights: np.ndarray, threshold_sets: list[ThresholdSet]
+) -> np.ndarray:
+    """Weighted averages (weights rescaled to sum 1) of the internal codes 1..I.
 
-    For ordinal codes 1..I and nonnegative weights the result stays on the
-    original category scale, which is what the concordance report rounds.
+    Each column's codes go through its ``ThresholdSet.map_codes``, one
+    column at a time, so the scores are on the scale of the predicted
+    categories whatever codes the data use. With nonnegative weights the
+    result stays in [1, I], which is what the concordance report rounds.
     """
     v = raw_weights / raw_weights.sum(axis=0)
-    return data.values @ v
+    out = np.zeros((data.n_rows, v.shape[1]))
+    for k, ts in enumerate(threshold_sets):
+        codes = ts.map_codes(data.codes(k))
+        for j in np.flatnonzero(v[k]):
+            out[:, j] += v[k, j] * codes
+    return out
 
 
 def latent_thresholds(
@@ -99,12 +106,8 @@ def latent_thresholds(
 
 
 @dataclass(frozen=True)
-class SubjectIntervals:
-    """One latent's subject intervals (alpha, beta] and their normal CDFs.
-
-    ``alpha <= beta`` row by row; ``cdf_alpha`` and ``cdf_beta`` are
-    Phi(alpha) and Phi(beta), taken once so every rule reads the same values.
-    """
+class _Intervals:
+    """One latent's subject intervals (alpha, beta], alpha <= beta, and their normal CDFs."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -120,7 +123,12 @@ def _check_prediction_data(data: DataMatrix, model: PathModel) -> None:
 
 
 def _block_intervals(data, block, threshold_sets, block_weights, latent):
-    """Per-subject interval endpoints (alpha, beta] on the latent scale, one block column at a time."""
+    """Every subject's interval (alpha, beta] on one latent's scale, one block column at a time.
+
+    The endpoints are the weighted sums of the responses' lower and upper
+    cut points (clipped to +-4). Negative weights can reverse an interval;
+    its endpoints are then swapped, with one warning for the latent.
+    """
     lower = np.zeros(data.n_rows)
     upper = np.zeros(data.n_rows)
     for k, w in zip(range(block.start, block.stop), block_weights):
@@ -137,32 +145,7 @@ def _block_intervals(data, block, threshold_sets, block_weights, latent):
             int(swapped.sum()),
         )
         lower[swapped], upper[swapped] = upper[swapped].copy(), lower[swapped].copy()
-    return SubjectIntervals(lower, upper, ndtr(lower), ndtr(upper))
-
-
-def subject_intervals(
-    data: DataMatrix,
-    threshold_sets: list[ThresholdSet],
-    standardizing_weights: np.ndarray,
-    model: PathModel,
-) -> tuple[SubjectIntervals, ...]:
-    """Every subject's interval on each latent scale, one record per latent.
-
-    A subject's interval is bounded by the weighted sums of its responses'
-    lower and upper cut points (clipped to +-4). Negative weights can
-    reverse an interval; its endpoints are then swapped, with a warning.
-    ``predict_categories`` reads these; build them once to run several rules.
-    """
-    _check_prediction_data(data, model)
-    return tuple(_latent_intervals(data, threshold_sets, standardizing_weights, model))
-
-
-def _latent_intervals(data, threshold_sets, standardizing_weights, model):
-    """``subject_intervals`` one latent at a time, each built only when it is reached."""
-    for j, latent in enumerate(model.latent_names):
-        block = model.block_slice(j)
-        w = standardizing_weights[block, j]
-        yield _block_intervals(data, block, threshold_sets, w, latent)
+    return _Intervals(lower, upper, ndtr(lower), ndtr(upper))
 
 
 def _overlap_probabilities(alpha, beta, cuts, cdf_alpha, cdf_beta):
@@ -185,7 +168,7 @@ def _overlap_probabilities(alpha, beta, cuts, cdf_alpha, cdf_beta):
         yield np.clip(hi, 0.0, None, out=hi)
 
 
-def _mode_categories(c: SubjectIntervals, cuts) -> np.ndarray:
+def _mode_categories(c: _Intervals, cuts) -> np.ndarray:
     """The 1-based set with the largest overlap per subject; ties go to the lower set."""
     best = np.zeros(len(c.alpha))
     out = np.ones(len(c.alpha), dtype=int)
@@ -203,6 +186,39 @@ def _bin_statistic(stat, interior_cuts):
     return np.searchsorted(interior_cuts, stat, side="left") + 1
 
 
+def _rule_categories(c: _Intervals, cuts, rule, latent) -> np.ndarray:
+    """One latent's categories under ``rule`` from its subject intervals ``c``."""
+    if rule == "mode":
+        return _mode_categories(c, cuts)
+    cdf = (c.cdf_alpha, c.cdf_beta)
+    try:
+        if rule == "median":
+            stat = truncated_normal_median(c.alpha, c.beta, cdf=cdf)
+        else:
+            stat = truncated_normal_mean(c.alpha, c.beta, cdf=cdf)
+    except ValueError as exc:
+        raise DataError(f"latent '{latent}': {exc}") from None
+    return _bin_statistic(stat, cuts)
+
+
+def _latent_predictions(data, lt, threshold_sets, standardizing_weights, model, rules):
+    """Each latent's category columns, one per rule in ``rules``, latent by latent.
+
+    A latent's subject intervals are built once, read by every rule, and
+    dropped before the next latent's are built.
+    """
+    for rule in rules:
+        if rule not in RULES:
+            raise DataError(f"unknown prediction rule '{rule}'; expected one of {RULES}")
+    _check_prediction_data(data, model)
+    for j, latent in enumerate(model.latent_names):
+        block = model.block_slice(j)
+        c = _block_intervals(data, block, threshold_sets, standardizing_weights[block, j], latent)
+        columns = [_rule_categories(c, lt.cuts[j], rule, latent) for rule in rules]
+        del c
+        yield columns
+
+
 def predict_categories(
     data: DataMatrix,
     lt: LatentThresholds,
@@ -210,7 +226,6 @@ def predict_categories(
     standardizing_weights: np.ndarray,
     model: PathModel,
     rule: str = "mode",
-    intervals: tuple[SubjectIntervals, ...] | None = None,
 ) -> np.ndarray:
     """Assign a latent category to every subject and latent variable.
 
@@ -222,34 +237,13 @@ def predict_categories(
                   restricted to the subject's interval;
         "mean":   the same with the truncated mean.
 
-    ``intervals`` are ``subject_intervals`` of the same arguments. When they
-    are not given, each latent's intervals are built as it is reached and
-    dropped after it.
+    Each latent's subject intervals are built as it is reached and dropped
+    after it.
     """
-    if rule not in RULES:
-        raise DataError(f"unknown prediction rule '{rule}'; expected one of {RULES}")
-    _check_prediction_data(data, model)
-    if intervals is None:
-        intervals = _latent_intervals(data, threshold_sets, standardizing_weights, model)
-    elif len(intervals) != model.n_latents or any(len(c.alpha) != data.n_rows for c in intervals):
-        raise DataError(
-            f"intervals do not match the data: expected {model.n_latents} latents "
-            f"of {data.n_rows} subjects"
-        )
     out = np.empty((data.n_rows, model.n_latents), dtype=int)
-    for j, (latent, c) in enumerate(zip(model.latent_names, intervals)):
-        if rule == "mode":
-            out[:, j] = _mode_categories(c, lt.cuts[j])
-        else:
-            cdf = (c.cdf_alpha, c.cdf_beta)
-            try:
-                if rule == "median":
-                    stat = truncated_normal_median(c.alpha, c.beta, cdf=cdf)
-                else:
-                    stat = truncated_normal_mean(c.alpha, c.beta, cdf=cdf)
-            except ValueError as exc:
-                raise DataError(f"latent '{latent}': {exc}") from None
-            out[:, j] = _bin_statistic(stat, lt.cuts[j])
+    columns = _latent_predictions(data, lt, threshold_sets, standardizing_weights, model, (rule,))
+    for j, (column,) in enumerate(columns):
+        out[:, j] = column
     return out
 
 

@@ -1,18 +1,23 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ordinal_dataset, random_recursive_model
 from oplspm.estimation import fit_correlation_model
 from oplspm.model import load_data, parse_model
 from oplspm.polychoric import pearson_matrix, polychoric_matrix
 from oplspm.scores import latent_thresholds, predict_categories
-from oplspm import cli
+from oplspm import cli, scores
 from oplspm.cli import main
 
 MODEL_TEXT = (
@@ -215,6 +220,33 @@ class TestPredictScoresCommand:
             assert float(row["exact_pct"]) == 100.0
 
 
+    @pytest.mark.parametrize("codes", [(2, 3, 4, 5, 6), (1, 3, 5)])
+    def test_coherency_compares_internal_codes(self, tmp_path, rng, codes):
+        # the codes are labels: a single-indicator score is its own category
+        # whatever codes the data use, so every rule agrees exactly
+        labels = np.array(codes)
+        x = rng.integers(0, len(codes), size=80)
+        y = np.clip(x + rng.integers(-1, 2, size=80), 0, len(codes) - 1)
+        x[: len(codes)] = y[: len(codes)] = np.arange(len(codes))
+        path = tmp_path / "labels.csv"
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["x1", "y1"])
+            writer.writerows(np.column_stack([labels[x], labels[y]]).tolist())
+        model_path = tmp_path / "single.model"
+        model_path.write_text(SINGLE_MODEL)
+        out = tmp_path / "out"
+        code = main(["predict-scores", "--model", str(model_path), "--data", str(path),
+                     "--coherency", "--out", str(out)])
+        assert code == 0
+        rows = read_rows(out / "predicted_categories.csv")
+        got = np.array([[int(r["a"]), int(r["b"])] for r in rows])
+        assert np.array_equal(got, np.column_stack([x, y]) + 1)
+        coherency = read_rows(out / "coherency.csv")
+        assert len(coherency) == 6
+        for row in coherency:
+            assert float(row["exact_pct"]) == 100.0
+
     def test_coherency_reuses_rule_prediction(self, tmp_path, rng, monkeypatch):
         _, _, model_path, data_path = write_inputs(tmp_path, rng, npoints=6)
         real = cli.predict_categories
@@ -224,24 +256,25 @@ class TestPredictScoresCommand:
             rules.append(kwargs["rule"])
             return real(*args, **kwargs)
 
-        real_intervals = cli.subject_intervals
+        real_intervals = scores._block_intervals
         builds = []
 
-        def counting_intervals(*args, **kwargs):
-            builds.append(1)
-            return real_intervals(*args, **kwargs)
+        def counting_intervals(*args):
+            builds.append(args[-1])
+            return real_intervals(*args)
 
         monkeypatch.setattr(cli, "predict_categories", counting)
-        monkeypatch.setattr(cli, "subject_intervals", counting_intervals)
+        monkeypatch.setattr(scores, "_block_intervals", counting_intervals)
         common = ["predict-scores", "--model", str(model_path), "--data", str(data_path)]
         outs = {name: tmp_path / name for name in ("median", "mode", "plain")}
         assert main([*common, "--rule", "median", "--coherency", "--out", str(outs["median"])]) == 0
-        assert rules == ["median", "mode", "mean"]
-        assert len(builds) == 1  # every rule reads the same subject intervals
+        assert rules == []  # every rule runs in the one pass over the latents
+        assert builds == ["a", "b"]  # each latent's intervals are built once for all rules
         assert main([*common, "--rule", "mode", "--coherency", "--out", str(outs["mode"])]) == 0
         assert main([*common, "--rule", "median", "--out", str(outs["plain"])]) == 0
-        assert len(builds) == 2  # one rule builds each latent's intervals as it reaches it
-        # each rule's row is the reused prediction in one run and a fresh one in the other
+        assert rules == ["median"]
+        assert builds == ["a", "b"] * 3
+        # the --rule column and the coherency rows do not depend on which rule is chosen
         assert (outs["median"] / "coherency.csv").read_bytes() == (
             outs["mode"] / "coherency.csv"
         ).read_bytes()
@@ -429,6 +462,22 @@ class TestInputErrors:
             "error: ordinal column 'c' holds code 1e+20; codes must be below 2**53\n"
         )
 
+    @pytest.mark.parametrize("bootstrap", [[], ["--bootstrap", "5"]])
+    def test_value_whose_square_overflows(self, tmp_path, capsys, bootstrap):
+        model_path = tmp_path / "tiny.model"
+        model_path.write_text(MODEL_TEXT)
+        path = tmp_path / "huge.csv"
+        path.write_text("x1,x2,y1,y2\n1e300,2,3,4\n2,3,4,1\n3,4,1,2\n1,1,2,3\n")
+        out = tmp_path / "out"
+        code = main(["fit", "--model", str(model_path), "--data", str(path), "--mode", "pls",
+                     *bootstrap, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: column 'x1' holds values too large or too small for Pearson correlations: "
+            "their squares overflow or underflow\n"
+        )
+        assert list(out.iterdir()) == []
+
     def test_code_far_above_the_row_count(self, tmp_path):
         peaks = {}
         for top in (3, 20_000_001):
@@ -569,3 +618,81 @@ class TestEpsilonValidation:
         _, _, model_path, data_path = write_inputs(tmp_path, rng)
         argv = self.argv("fit-pls", model_path, data_path)
         assert main([*argv, "--epsilon", epsilon, "--out", str(tmp_path / "out")]) == 0
+
+
+FUZZ_COMMANDS = {
+    "fit-pls": ["fit", "--mode", "pls"],
+    "fit-opls": ["fit", "--mode", "opls"],
+    "fit-pls-bootstrap": ["fit", "--mode", "pls", "--bootstrap", "3"],
+    "fit-opls-bootstrap": ["fit", "--mode", "opls", "--bootstrap", "3"],
+    "polychoric": ["polychoric"],
+    "predict-scores": ["predict-scores", "--coherency"],
+}
+ODD_CELLS = ["1e300", "-1e300", "-2", "0", "2.5", "nan", "inf", "-inf", "", "1e20", "x"]
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """A MODEL_TEXT model file and a CSV of at most 50 rows, with up to two kinds of fault."""
+    faults = draw(st.sets(st.sampled_from(["columns", "one-category", "cells", "file"]),
+                          max_size=2))
+    n = draw(st.integers(20, 50) | st.integers(0, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    latent = rng.standard_normal(n)
+    codes = np.clip(np.rint(latent[:, None] + 0.7 * rng.standard_normal((n, 4))) + 3, 1, 5)
+    cells = codes.astype(int).astype(str).tolist()
+    names = list(draw(st.permutations(["x1", "x2", "y1", "y2"])))
+    if "columns" in faults:
+        change = draw(st.sampled_from(["drop", "repeat", "extra"]))
+        if change == "drop":
+            del names[-1]
+            cells = [row[:-1] for row in cells]
+        else:
+            names.append(names[0] if change == "repeat" else "z1")
+            cells = [[*row, row[0]] for row in cells]
+    if n and "one-category" in faults:
+        j = draw(st.integers(0, len(names) - 1))
+        for row in cells:
+            row[j] = cells[0][j]
+    for _ in range(draw(st.integers(1, 3)) if n and "cells" in faults else 0):
+        row, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(names) - 1))
+        cells[row][j] = draw(st.sampled_from(ODD_CELLS))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    files = ["".join(",".join(row) + end for row in [names, *cells]).encode(), MODEL_TEXT.encode()]
+    if "file" in faults:
+        i = draw(st.integers(0, 1))  # the data or the model file
+        damage = draw(st.sampled_from(["empty", "bom", "byte"]))
+        if damage == "empty":
+            files[i] = b""
+        elif damage == "bom":
+            files[i] = b"\xef\xbb\xbf" + files[i]
+        else:
+            at = draw(st.integers(0, len(files[i])))
+            files[i] = files[i][:at] + b"\xff" + files[i][at:]
+    return tuple(files)
+
+
+class TestFuzzedInputs:
+    """Any small damaged input ends in exit 0, 2 or 3, an ``error:`` line and no traceback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(sorted(FUZZ_COMMANDS)), files=fuzzed_inputs())
+    @example(command="fit-pls",
+             files=(b"x1,x2,y1,y2\n1e300,2,3,4\n2,3,4,1\n3,4,1,2\n1,1,2,3\n", MODEL_TEXT.encode()))
+    @example(command="fit-pls-bootstrap",
+             files=(b"x1,x2,y1,y2\n1e300,2,3,4\n2,3,4,1\n3,4,1,2\n1,1,2,3\n", MODEL_TEXT.encode()))
+    def test_exit_code_and_one_error_line(self, command, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            data_path, model_path = Path(tmp) / "data.csv", Path(tmp) / "tiny.model"
+            data_path.write_bytes(files[0])
+            model_path.write_bytes(files[1])
+            model = [] if command == "polychoric" else ["--model", str(model_path)]
+            argv = [*FUZZ_COMMANDS[command], *model, "--data", str(data_path),
+                    "--out", str(Path(tmp) / "out")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -444,6 +444,37 @@ class TestCountWeightedBootstrap:
         assert (result.n_effective, result.n_failed) == (n_eff, n_failed)
         assert np.allclose(result.standard_errors, se, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("bad, message", [
+        (lambda col: np.where(np.arange(col.size) == 0, 1e300, col),
+         "column 'a2' holds values too large or too small"),
+        (lambda col: np.ones_like(col), "zero-variance column 'a2'"),
+    ], ids=["huge", "constant"])
+    def test_column_without_pearson_correlations_is_a_data_error(self, rng, bad, message):
+        # raised before any replicate is drawn, as pearson_matrix raises it
+        model = chain_model()
+        data = factor_dataset(model, rng, n=40)
+        values = data.values.copy()
+        values[:, 1] = bad(values[:, 1])
+        data = DataMatrix(values, data.columns, data.kinds)
+        with pytest.raises(DataError, match=message):
+            bootstrap_inner(data, model, mode="pls", n_boot=5)
+
+    def test_replicate_whose_moments_overflow_fails_alone(self, rng):
+        # the data's own sum of squares is 0.9 of the float maximum; a replicate
+        # that draws row 0 twice or more overflows it and fails without a LinAlgError
+        model = chain_model()
+        data = factor_dataset(model, rng, n=12)
+        values = data.values.copy()
+        values[0, 0] = np.sqrt(0.9 * 12 / 11 * np.finfo(float).max)
+        data = DataMatrix(values, data.columns, data.kinds)
+        draws = np.random.default_rng(3)
+        heavy = sum(
+            np.sum(draws.integers(0, 12, size=12) == 0) >= 2 for _ in range(estimation._BOOT_BLOCK)
+        )
+        assert 0 < heavy < estimation._BOOT_BLOCK
+        result = bootstrap_inner(data, model, mode="pls", n_boot=estimation._BOOT_BLOCK, seed=3)
+        assert heavy <= result.n_failed < estimation._BOOT_BLOCK - 1
+
     def test_singular_update_fails_its_member_alone(self):
         model = build_model(
             "two", ["a"], ["b"], {"a": ["x1", "x2"], "b": ["y1", "y2"]}, [("a", "b")]

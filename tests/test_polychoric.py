@@ -952,6 +952,23 @@ class TestPearsonMatrix:
         with pytest.raises(DataError, match="zero-variance"):
             pearson_matrix(x)
 
+    def test_overflowing_column_is_named(self):
+        # squares above about 1e308 overflow; the column is named, with no RuntimeWarning
+        x = np.column_stack([np.arange(4.0), [3.0, 1.0, 2.0, 0.0], [1e300, 2.0, 3.0, 1.0]])
+        with pytest.raises(DataError) as info:
+            pearson_matrix(x)
+        assert str(info.value) == (
+            "column '2' holds values too large or too small for Pearson correlations: "
+            "their squares overflow or underflow"
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_build_rejects_non_finite_entries(self, bad):
+        # NaN fails no symmetry or diagonal comparison, so it is tested on its own
+        values = np.array([[1.0, bad, 0.2], [bad, 1.0, 0.1], [0.2, 0.1, 1.0]])
+        with pytest.raises(DataError, match="correlation matrix has non-finite entries"):
+            CorrelationMatrix.build(values, "pearson")
+
 
 class TestNearestPdRepair:
     def test_off_diagonal_pulled_inside(self):

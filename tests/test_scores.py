@@ -11,8 +11,9 @@ from oplspm.model import DataMatrix, build_model, parse_model
 from oplspm.pls import score_based_pls_fit
 from oplspm.polychoric import ThresholdSet, estimate_thresholds, pearson_matrix, polychoric_matrix
 from oplspm.scores import (
-    SubjectIntervals,
     _block_intervals,
+    _Intervals,
+    _latent_predictions,
     _mode_categories,
     _overlap_probabilities,
     concordance_table,
@@ -201,7 +202,7 @@ class TestModeOverlaps:
         oracle = overlap_oracle(alpha, beta, cuts)
         assert np.array_equal(overlaps(alpha, beta, cuts), oracle)
         # the running maximum over the sets picks the first largest overlap, as argmax does
-        intervals = SubjectIntervals(alpha, beta, ndtr(alpha), ndtr(beta))
+        intervals = _Intervals(alpha, beta, ndtr(alpha), ndtr(beta))
         assert np.array_equal(_mode_categories(intervals, cuts), np.argmax(oracle, axis=1) + 1)
 
     def test_random_intervals(self, rng):
@@ -258,7 +259,7 @@ class TestModeOverlaps:
 
 
 class TestSharedIntervals:
-    """Intervals built once and read by every rule give each rule's own prediction."""
+    """Intervals built once per latent and read by every rule give each rule's own prediction."""
 
     def test_shared_equals_fresh_for_every_rule(self, rng, caplog):
         model = parse_model(ECSI_MODEL)
@@ -267,41 +268,30 @@ class TestSharedIntervals:
         sw = fit.weights.standardized.copy()
         sw[model.block_slice(0).start, 0] *= -1  # reverses some of the first latent's intervals
         lt = latent_thresholds(thresholds, sw, model)
-        intervals = scores.subject_intervals(data, thresholds, sw, model)
-        assert caplog.text.count("endpoints swapped") == 1
-        for c in intervals:
-            assert np.all(c.alpha <= c.beta)
-            assert np.array_equal(c.cdf_alpha, ndtr(c.alpha))
-            assert np.array_equal(c.cdf_beta, ndtr(c.beta))
-        for rule in scores.RULES:
-            shared = predict_categories(data, lt, thresholds, sw, model, rule, intervals)
+        shared = list(_latent_predictions(data, lt, thresholds, sw, model, scores.RULES))
+        assert caplog.text.count("endpoints swapped") == 1  # one warning for the one latent
+        assert len(shared) == model.n_latents
+        for i, rule in enumerate(scores.RULES):
             fresh = predict_categories(data, lt, thresholds, sw, model, rule=rule)
-            assert np.array_equal(shared, fresh), rule
+            assert np.array_equal(np.column_stack([columns[i] for columns in shared]), fresh), rule
 
-    def test_mean_rule_without_mass_names_the_latent(self, rng):
+    def test_mean_rule_without_mass_names_the_latent(self, rng, monkeypatch):
         model = two_block_model()
         data = homogeneous_dataset(model, rng)
         fit, thresholds, lt = fit_opls(data, model)
         sw = fit.weights.standardized
-        first, _ = scores.subject_intervals(data, thresholds, sw, model)
+        real = scores._block_intervals
         far = np.full(data.n_rows, 30.0)  # Phi is 1.0 at both ends
-        empty = scores.SubjectIntervals(far, far + 1.0, ndtr(far), ndtr(far + 1.0))
-        with pytest.raises(DataError) as info:
-            predict_categories(data, lt, thresholds, sw, model, "mean", (first, empty))
-        assert str(info.value) == "latent 'b': truncation interval carries no probability mass"
 
-    def test_intervals_of_other_shapes_are_rejected(self, rng):
-        model = two_block_model()
-        data = homogeneous_dataset(model, rng)
-        fit, thresholds, lt = fit_opls(data, model)
-        sw = fit.weights.standardized
-        first, second = scores.subject_intervals(data, thresholds, sw, model)
-        shorter = scores.SubjectIntervals(*(v[:-1] for v in vars(second).values()))
-        message = f"intervals do not match the data: expected 2 latents of {data.n_rows} subjects"
-        for intervals in [(first,), (first, second, first), (first, shorter)]:
-            with pytest.raises(DataError) as info:
-                predict_categories(data, lt, thresholds, sw, model, "median", intervals)
-            assert str(info.value) == message
+        def intervals(data, block, threshold_sets, block_weights, latent):
+            if latent == "b":
+                return _Intervals(far, far + 1.0, ndtr(far), ndtr(far + 1.0))
+            return real(data, block, threshold_sets, block_weights, latent)
+
+        monkeypatch.setattr(scores, "_block_intervals", intervals)
+        with pytest.raises(DataError) as info:
+            predict_categories(data, lt, thresholds, sw, model, "mean")
+        assert str(info.value) == "latent 'b': truncation interval carries no probability mass"
 
 
 class TestRawScaleAndConcordance:
@@ -309,10 +299,28 @@ class TestRawScaleAndConcordance:
         model = two_block_model()
         data = ordinal_dataset(model, rng, n=120, npoints=5)
         fit = fit_correlation_model(pearson_matrix(data), model)
-        raw = raw_scale_scores(data, fit.weights.raw)
+        _, thresholds = polychoric_matrix(data)
+        raw = raw_scale_scores(data, fit.weights.raw, thresholds)
         if np.all(fit.weights.raw >= 0):
             assert raw.min() >= 1.0 - 1e-9
             assert raw.max() <= 5.0 + 1e-9
+
+    def test_raw_scores_average_internal_codes(self, rng):
+        model = two_block_model()
+        data = ordinal_dataset(model, rng, n=120, npoints=5)
+        assert all(len(np.unique(col)) == 5 for col in data.values.T)
+        weights = fit_correlation_model(pearson_matrix(data), model).weights.raw
+        _, thresholds = polychoric_matrix(data)
+        raw = raw_scale_scores(data, weights, thresholds)
+        # codes 1..I are their own internal codes: the weighted average of the
+        # values, up to summation order
+        v = weights / weights.sum(axis=0)
+        assert np.allclose(raw, data.values @ v, rtol=0.0, atol=1e-12)
+        # other labels of the same categories give the same scores
+        labels = np.array([0.0, 2.0, 3.0, 7.0, 8.0, 20.0])
+        relabeled = DataMatrix(labels[data.values.astype(int)], data.columns, data.kinds)
+        _, relabeled_thresholds = polychoric_matrix(relabeled)
+        assert np.array_equal(raw_scale_scores(relabeled, weights, relabeled_thresholds), raw)
 
     def test_concordance_table(self):
         pred = np.array([[1, 2], [2, 3], [3, 3]])
