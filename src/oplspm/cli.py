@@ -108,12 +108,12 @@ def _write_outputs(out: Path, args, tables, inputs, extra) -> None:
 def _indicator_rows(model, *columns):
     """``[indicator, latent, *values]`` per indicator, in model order; a 2-D
     column (indicators x latents) is read at each indicator's own latent."""
-    owner = np.repeat(np.arange(model.n_latents), model.block_sizes)
+    owner = model.indicator_latents
     k = np.arange(model.n_indicators)
     values = [(c[k, owner] if c.ndim == 2 else c).tolist() for c in columns]
     return [
         [name, model.latent_names[j], *cells]
-        for name, j, *cells in zip(model.indicator_names, owner.tolist(), *values)
+        for name, j, *cells in zip(model.indicator_names, owner, *values)
     ]
 
 
@@ -125,7 +125,7 @@ def _indexed_rows(names, sequences):
 
 def _load_model(path: str):
     try:
-        return parse_model(Path(path).read_text(encoding="utf-8"))
+        return parse_model(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ModelError(f"cannot read model file '{path}': {exc}") from None
     except UnicodeDecodeError as exc:

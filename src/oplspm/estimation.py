@@ -158,15 +158,12 @@ def outer_loadings(sigma_xy: np.ndarray, model: PathModel) -> np.ndarray:
     """Loading of each indicator on its own composite.
 
     ``sigma_xy`` must be the indicator-composite correlation matrix
-    (``sigma_xx @ sw`` with unit-diagonal ``sigma_xx``); the loading is the
-    correlation between an indicator and the composite of its block.
+    (``sigma_xx @ sw`` with unit-diagonal ``sigma_xx``), or a stack of
+    them; the loading is the correlation between an indicator and the
+    composite of its block.
     """
     sigma_xy = np.asarray(sigma_xy, dtype=float)
-    lams = np.empty(model.n_indicators)
-    for j in range(model.n_latents):
-        block = model.block_slice(j)
-        lams[block] = sigma_xy[block, j]
-    return lams
+    return sigma_xy[..., np.arange(model.n_indicators), model.indicator_latents]
 
 
 def cronbach_alpha_ordinal(block_matrix: np.ndarray) -> float:
@@ -251,9 +248,23 @@ class BootstrapResult:
     n_failed: int
 
 
-# Replicates fitted together as one stack. It bounds a block's working
-# memory (counts, moments, stacks); the results do not depend on it.
-_BOOT_BLOCK = 32
+# Bootstrap replicates or simulation replications fitted as one stack. It
+# bounds a block's working memory; the results do not depend on it.
+_STACK_BLOCK = 32
+
+
+def _blocks(n: int):
+    """Consecutive ranges of at most ``_STACK_BLOCK`` that cover ``range(n)``."""
+    return (range(start, min(start + _STACK_BLOCK, n)) for start in range(0, n, _STACK_BLOCK))
+
+
+def _fit_members(sigma, model: PathModel, tol: float, max_iter: int):
+    """``_fit_stack`` of a B x K x K positive definite stack, its B x paths inner coefficients
+    in equation order, and the mask of members that converged with a solvable inner system."""
+    fit = _fit_stack(sigma, model, tol=tol, max_iter=max_iter)
+    solutions, singular = _structural_solve(fit.latent_correlations, _structural_equations(model))
+    coefficients = np.concatenate([beta for beta, _ in solutions], axis=1)
+    return fit, coefficients, fit.converged & (singular < 0)
 
 
 def _pearson_replicates(data: DataMatrix):
@@ -324,15 +335,15 @@ def bootstrap_inner(
 
     Each replicate is the vector of counts of ``n_rows`` rows drawn with
     replacement; no resampled data are built. Replicates go in blocks of
-    ``_BOOT_BLOCK``: the block's correlation matrices come from
+    ``_STACK_BLOCK``: the block's correlation matrices come from
     count-weighted moments (``mode="pls"``) or count-weighted pair tables
     (``mode="opls"``, which still solves every pair of every replicate and
-    is slow; budget accordingly), then one stacked PLS fit and one stacked
-    solve per structural equation. A replicate fails alone, and is counted
-    in ``n_failed``, when a column is constant in it, its Pearson moments
-    overflow, its matrix is not positive definite, its PLS update is
-    singular or does not converge, an inner system is singular, or its
-    polychoric estimation raises. A standard error needs two replicates:
+    is slow; budget accordingly), then one stacked PLS fit and structural
+    solve, ``_fit_members``, which ``simulate.run_study`` shares. A
+    replicate fails alone, and is counted in ``n_failed``, when a column is
+    constant in it, its Pearson moments overflow, its matrix is not
+    positive definite, its PLS update is singular or does not converge, an
+    inner system is singular, or its polychoric estimation raises. A standard error needs two replicates:
     ``n_boot`` below 2, or fewer than 2 replicates that succeed, raise
     ``EstimationError``. In pls mode, a column that is constant, or whose
     squares overflow or underflow, in the data themselves raises ``DataError``.
@@ -354,19 +365,14 @@ def bootstrap_inner(
     n = data.n_rows
     draws = [np.empty((0, len(names)))]
     failed = 0
-    for start in range(0, n_boot, _BOOT_BLOCK):
-        size = min(_BOOT_BLOCK, n_boot - start)
+    for block in _blocks(n_boot):
         counts = np.array(
-            [np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(size)],
-            dtype=float,
+            [np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in block], dtype=float
         )
         sigma = correlations(counts)
-        sigma = sigma[_positive_definite(sigma)]
-        fit = _fit_stack(sigma, model, tol=tol, max_iter=max_iter)
-        solutions, singular = _structural_solve(fit.latent_correlations[fit.converged], equations)
-        solved = singular < 0
-        draws.append(np.concatenate([beta for beta, _ in solutions], axis=1)[solved])
-        failed += size - int(solved.sum())
+        _, coefficients, ok = _fit_members(sigma[_positive_definite(sigma)], model, tol, max_iter)
+        draws.append(coefficients[ok])
+        failed += len(block) - int(ok.sum())
     b = np.concatenate(draws)
     if b.shape[0] < 2:
         raise EstimationError(

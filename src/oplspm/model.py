@@ -93,12 +93,14 @@ class PathModel:
     def block_slice(self, j: int) -> slice:
         return self._block_slices[j]
 
+    @cached_property
+    def indicator_latents(self) -> tuple[int, ...]:
+        """Index of each indicator's latent, in indicator order."""
+        return tuple(j for j, size in enumerate(self.block_sizes) for _ in range(size))
+
     def weight_pattern(self) -> np.ndarray:
         """0/1 indicator matrix of admissible weights (K x latents)."""
-        chi = np.zeros((self.n_indicators, self.n_latents))
-        for j in range(self.n_latents):
-            chi[self.block_slice(j), j] = 1.0
-        return chi
+        return (np.array(self.indicator_latents)[:, None] == np.arange(self.n_latents)).astype(float)
 
 
 def _toposort_endogenous(endogenous, edges):
@@ -373,15 +375,17 @@ def _read_values(source, select=None):
     return the column order to keep, before any cell is converted. Later
     lines go ``_CHUNK_ROWS`` at a time through numpy's reader, and from the
     first chunk that is not plain numbers on through ``csv`` and the cell
-    loop, whose messages name the row. Returns the header and the values.
+    loop, whose messages name the row. A leading UTF-8 byte-order mark is
+    dropped. Returns the header and the values.
     """
-    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8")
+    opened = nullcontext(source) if hasattr(source, "read") else open(source, encoding="utf-8-sig")
     try:
         with opened as handle:
             nonblank = _csv_rows(handle, 1)
             header, first = next(nonblank, None), next(nonblank, None)
             if first is None:
                 raise DataError("CSV needs a header row and at least one data row")
+            header[0] = header[0].removeprefix("\ufeff")  # a decoded stream may still start with one
             header = [cell.strip() for cell in header]
             if len(set(header)) < len(header):
                 name = next(name for i, name in enumerate(header) if name in header[:i])

@@ -11,8 +11,8 @@ is polychoric and no observation-level scores exist. On the Pearson
 correlation matrix of an interval dataset the two engines produce the same
 weights; indicators are standardized (unit sample variance) in the
 score-based engine to match. Its iteration runs over a stack of matrices
-(``_fit_stack``), so bootstrap replicates are fitted together; a single
-fit is the stack of one.
+(``_fit_stack``), so bootstrap replicates, and simulation replications, are
+fitted together; a single fit is the stack of one.
 
 Within one pass the composites are built from the weights rescaled to sum
 to one per block (the outer-approximation normalization), while the

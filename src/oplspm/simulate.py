@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import sample_standardized_beta
-from .errors import ConvergenceError, DataError, EstimationError
-from .estimation import fit_correlation_model
+from .errors import DataError, OplsError
+from .estimation import _blocks, _fit_members, fit_correlation_model, outer_loadings
 from .model import DataMatrix, PathModel, build_model
+from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .polychoric import _check_epsilon, pearson_matrix, polychoric_matrix
 
 __all__ = [
@@ -314,51 +315,69 @@ class BiasReport:
         return rows
 
 
+def _fit_route(sigmas: dict, model: PathModel, errors: dict) -> dict:
+    """Fit ``sigmas`` (replication -> matrix) as one stack: replication -> (inner
+    coefficients, loadings, raw weights) of each member that succeeds. Any
+    other is fitted again alone, and the text of its error goes into ``errors``."""
+    reps = [rep for rep, sigma in sigmas.items() if sigma.pd_status != "failed"]
+    k = model.n_indicators
+    stack = np.array([sigmas[rep].values for rep in reps]).reshape(-1, k, k)
+    fit, coefficients, ok = _fit_members(stack, model, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    loadings = outer_loadings(stack @ fit.standardized, model)
+    ok &= ~np.any(np.abs(loadings) > 1.0, axis=1)  # dillon_goldstein_rho rejects those
+    weights = fit.raw[:, np.arange(k), model.indicator_latents]
+    fitted = {rep: (coefficients[i], loadings[i], weights[i]) for i, rep in enumerate(reps) if ok[i]}
+    for rep in sorted(sigmas.keys() - fitted.keys()):
+        try:
+            fit_correlation_model(sigmas[rep], model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
+        except OplsError as exc:
+            errors[rep] = str(exc)
+    return fitted
+
+
 def run_study(config: SimulationConfig) -> BiasReport:
     """Run the full replication loop for one (law, npoints) cell.
 
     Replications draw from independent substreams seeded by
     (config.seed, replication index), so results do not depend on
-    execution order and are reproducible bit for bit. Replications whose
-    fit fails or whose polychoric matrix is not positive definite are
-    excluded and reported with the reason, never silently dropped.
+    execution order and are reproducible bit for bit. A block of
+    ``estimation._STACK_BLOCK`` replications fits its Pearson, then its
+    polychoric, matrices as one stack each. Replications whose fit fails
+    or whose polychoric matrix is not positive definite are excluded and
+    reported with the reason, never silently dropped.
     """
     model = simulation_model()
-    bias_pls, bias_opls = [], []
-    lam_pls, lam_opls, w_pls, w_opls = [], [], [], []
-    failures = []
-    truth = np.array([TRUE_VALUES[p] for p in PARAMETERS])
-    paths = [PARAMETER_PATHS[p] for p in PARAMETERS]
-    for rep in range(config.replications):
-        rng = np.random.default_rng([config.seed, rep])
-        try:
-            data, _ = generate_dataset(config, rng)
-            fit_p = fit_correlation_model(pearson_matrix(data), model)
-            sigma_poly, _ = polychoric_matrix(data, epsilon=config.epsilon)
-            if sigma_poly.pd_status == "failed":
-                eig = sigma_poly.min_eigenvalue()
-                raise DataError(f"polychoric matrix not positive definite (smallest eigenvalue {eig:.3g})")
-            fit_o = fit_correlation_model(sigma_poly, model)
-        except (DataError, ConvergenceError, EstimationError) as exc:
-            failures.append({"replication": rep, "error": str(exc)})
-            continue
-        bias_pls.append(fit_p.path_coefficients(paths) - truth)
-        bias_opls.append(fit_o.path_coefficients(paths) - truth)
-        lam_pls.append(fit_p.loadings)
-        lam_opls.append(fit_o.loadings)
-        w_pls.append(fit_p.weights.raw[model.weight_pattern() == 1.0])
-        w_opls.append(fit_o.weights.raw[model.weight_pattern() == 1.0])
-    if not bias_pls:
-        raise DataError("every replication failed; nothing to report")
+    kept, failures = [], []
+    for reps in _blocks(config.replications):
+        pearson, polychoric, errors = {}, {}, {}
+        for rep in reps:
+            try:
+                data, _ = generate_dataset(config, np.random.default_rng([config.seed, rep]))
+                pearson[rep] = pearson_matrix(data)
+                polychoric[rep], _ = polychoric_matrix(data, epsilon=config.epsilon)
+                if polychoric[rep].pd_status == "failed":
+                    eig = polychoric.pop(rep).min_eigenvalue()
+                    raise DataError(f"polychoric matrix not positive definite (smallest eigenvalue {eig:.3g})")
+            except OplsError as exc:
+                errors[rep] = str(exc)
+        fitted_pls = _fit_route(pearson, model, errors)  # a failed fit outranks its polychoric error
+        fitted_opls = _fit_route({r: polychoric[r] for r in fitted_pls if r in polychoric}, model, errors)
+        failures += [{"replication": rep, "error": errors[rep]} for rep in reps if rep in errors]
+        kept += [(*fitted_pls[rep], *fitted_opls[rep]) for rep in reps if rep not in errors]
+    if not kept:
+        raise DataError(f"every replication failed ({len(failures)} of {config.replications}); "
+                        f"replication {failures[0]['replication']}: {failures[0]['error']}")
+    truth = np.array([TRUE_VALUES[p] for p in PARAMETERS])  # in the coefficients' order
+    coef_pls, lam_pls, w_pls, coef_opls, lam_opls, w_opls = map(np.vstack, zip(*kept))
     return BiasReport(
         config=config,
         parameters=PARAMETERS,
-        bias_pls=np.vstack(bias_pls),
-        bias_opls=np.vstack(bias_opls),
-        loadings_pls=np.vstack(lam_pls),
-        loadings_opls=np.vstack(lam_opls),
-        weights_pls=np.vstack(w_pls),
-        weights_opls=np.vstack(w_opls),
+        bias_pls=coef_pls - truth,
+        bias_opls=coef_opls - truth,
+        loadings_pls=lam_pls,
+        loadings_opls=lam_opls,
+        weights_pls=w_pls,
+        weights_opls=w_opls,
         indicator_names=model.indicator_names,
         failures=failures,
     )

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import ordinal_dataset, random_recursive_model
 from oplspm.estimation import fit_correlation_model
-from oplspm.model import load_data, parse_model
+from oplspm.model import load_data, parse_model, serialize_model
 from oplspm.polychoric import pearson_matrix, polychoric_matrix
 from oplspm.scores import latent_thresholds, predict_categories
 from oplspm import cli, scores
@@ -335,6 +335,15 @@ class TestSimulateCommand:
         ratio_rows = [r for r in rows if r["section"] == "ratio"]
         assert all(r["geometric_mean"] != "" for r in ratio_rows)
 
+    def test_every_replication_failed_names_the_first_reason(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--n", "3", "--reps", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: every replication failed (2 of 2); replication 0: "
+            "correlation matrix is not positive definite; re-run with PD repair enabled\n"
+        )
+        assert list(out.iterdir()) == []
+
 
 def fmt_writer(path, header, rows):
     """The per-cell formatter the CLI used before writing Python values directly."""
@@ -453,6 +462,27 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: model file '{model_path}' is not UTF-8 text")
         assert err.count("\n") == 1
+
+    def test_byte_order_marks_change_nothing(self, tmp_path, rng):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        bom_model, bom_data = tmp_path / "bom.model", tmp_path / "bom.csv"
+        bom_model.write_bytes(b"\xef\xbb\xbf" + model_path.read_bytes())
+        bom_data.write_bytes(b"\xef\xbb\xbf" + data_path.read_bytes())
+        assert serialize_model(cli._load_model(str(bom_model))) == serialize_model(
+            cli._load_model(str(model_path))
+        )
+        runs = {
+            "polychoric_matrix.csv": lambda m, d: ["polychoric", "--data", d],
+            "weights.csv": lambda m, d: ["fit", "--model", m, "--data", d, "--mode", "opls"],
+        }
+        for name, argv in runs.items():
+            outputs = []
+            for m, d in ((model_path, data_path), (bom_model, bom_data)):
+                out = tmp_path / f"{name}-{d.name}"
+                assert main(argv(str(m), str(d)) + ["--out", str(out)]) == 0
+                outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+            assert name in outputs[0]
+            assert outputs[0] == outputs[1]
 
     def test_code_beyond_float_integers(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"

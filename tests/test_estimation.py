@@ -416,7 +416,7 @@ class TestCountWeightedBootstrap:
         model = chain_model()
         data = rare_category_data(rng, model)
         default = bootstrap_inner(data, model, mode=mode, n_boot=n_boot, seed=9)
-        monkeypatch.setattr(estimation, "_BOOT_BLOCK", 1)
+        monkeypatch.setattr(estimation, "_STACK_BLOCK", 1)
         single = bootstrap_inner(data, model, mode=mode, n_boot=n_boot, seed=9)
         assert np.array_equal(single.standard_errors, default.standard_errors)
         assert np.array_equal(single.p_values, default.p_values)
@@ -433,13 +433,13 @@ class TestCountWeightedBootstrap:
         data = DataMatrix(values, data.columns, data.kinds)
         draws = np.random.default_rng(13)
         flat = sum(
-            not np.any(draws.integers(0, 40, size=40) < 2) for _ in range(estimation._BOOT_BLOCK)
+            not np.any(draws.integers(0, 40, size=40) < 2) for _ in range(estimation._STACK_BLOCK)
         )
-        assert 0 < flat < estimation._BOOT_BLOCK
-        result = bootstrap_inner(data, model, mode="pls", n_boot=estimation._BOOT_BLOCK, seed=13)
+        assert 0 < flat < estimation._STACK_BLOCK
+        result = bootstrap_inner(data, model, mode="pls", n_boot=estimation._STACK_BLOCK, seed=13)
         assert result.n_failed == flat
         names, se, p, n_eff, n_failed = loop_bootstrap(
-            data, model, "pls", estimation._BOOT_BLOCK, seed=13
+            data, model, "pls", estimation._STACK_BLOCK, seed=13
         )
         assert (result.n_effective, result.n_failed) == (n_eff, n_failed)
         assert np.allclose(result.standard_errors, se, rtol=0.0, atol=1e-12)
@@ -469,11 +469,11 @@ class TestCountWeightedBootstrap:
         data = DataMatrix(values, data.columns, data.kinds)
         draws = np.random.default_rng(3)
         heavy = sum(
-            np.sum(draws.integers(0, 12, size=12) == 0) >= 2 for _ in range(estimation._BOOT_BLOCK)
+            np.sum(draws.integers(0, 12, size=12) == 0) >= 2 for _ in range(estimation._STACK_BLOCK)
         )
-        assert 0 < heavy < estimation._BOOT_BLOCK
-        result = bootstrap_inner(data, model, mode="pls", n_boot=estimation._BOOT_BLOCK, seed=3)
-        assert heavy <= result.n_failed < estimation._BOOT_BLOCK - 1
+        assert 0 < heavy < estimation._STACK_BLOCK
+        result = bootstrap_inner(data, model, mode="pls", n_boot=estimation._STACK_BLOCK, seed=3)
+        assert heavy <= result.n_failed < estimation._STACK_BLOCK - 1
 
     def test_singular_update_fails_its_member_alone(self):
         model = build_model(

@@ -128,6 +128,7 @@ class TestModelLayout:
             model.indicator_names,
             model.n_indicators,
             [model.block_slice(j) for j in range(-model.n_latents, model.n_latents)],
+            model.indicator_latents,
         )
 
     def test_layout_matches_blocks(self, rng):
@@ -140,6 +141,8 @@ class TestModelLayout:
             assert model.indicator_names == tuple(chain.from_iterable(model.blocks))
             for j, (start, size) in enumerate(zip(starts, sizes)):
                 assert model.block_slice(j) == slice(start, start + size)
+                assert model.indicator_latents[start : start + size] == (j,) * size
+            assert len(model.indicator_latents) == model.n_indicators
             with pytest.raises(IndexError):
                 model.block_slice(model.n_latents)
 
@@ -238,6 +241,17 @@ class TestLoadData:
         assert str(info.value) == (
             f"data file '{path}' is not UTF-8 text: invalid continuation byte (byte 0xe9)"
         )
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "y1,x2,x1\n1,2,3\n2,1,4\n3,3,5\n"
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        plain = load_data(io.StringIO(text), self._model())
+        for source in (lambda: path, lambda: io.StringIO("\ufeff" + text)):
+            data = load_data(source(), self._model())
+            assert (data.columns, data.kinds) == (plain.columns, plain.kinds)
+            assert np.array_equal(data.values, plain.values)
+            assert load_csv(source()).columns == ("y1", "x2", "x1")
 
     def test_minimum_rows(self):
         with pytest.raises(DataError, match="at least 3"):

@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-from oplspm.errors import DataError
+from oplspm import estimation, simulate
+from oplspm.errors import ConvergenceError, DataError, EstimationError
+from oplspm.estimation import fit_correlation_model
+from oplspm.pls import DEFAULT_MAX_ITER
+from oplspm.polychoric import CorrelationMatrix, pearson_matrix, polychoric_matrix
 from oplspm.simulate import (
     BETA_SHAPES,
     BLOCK_LOADINGS,
@@ -52,6 +58,10 @@ class TestModelAndVariances:
             j = model.latent_names.index(target)
             k = model.latent_names.index(source)
             assert model.inner_adjacency[j, k] == 1.0, param
+        # run_study reads the biases in the structural-equation order of the coefficients
+        names = model.latent_names
+        paths = [(names[j], names[c]) for j, cov in estimation._structural_equations(model) for c in cov]
+        assert paths == [PARAMETER_PATHS[p] for p in PARAMETERS]
 
     def test_error_variances_force_unit_variance(self):
         # independent re-derivation of the unit-variance algebra
@@ -175,3 +185,127 @@ class TestRunStudy:
         }
         assert BLOCK_LOADINGS == (0.8, 0.9, 0.95)
         assert BETA_SHAPES == ((11.0, 2.0), (16.0, 3.0), (54.0, 7.0))
+
+
+REPORT_ARRAYS = (
+    "bias_pls", "bias_opls", "loadings_pls", "loadings_opls", "weights_pls", "weights_opls"
+)
+
+
+def reference_study(config, max_iter=DEFAULT_MAX_ITER):
+    """The per-replication loop ``run_study`` replaced: one ``fit_correlation_model``
+    call per matrix. Returns the report arrays (None when every replication
+    failed) and the failures."""
+    model = simulation_model()
+    rows = {name: [] for name in REPORT_ARRAYS}
+    failures = []
+    truth = np.array([TRUE_VALUES[p] for p in PARAMETERS])
+    paths = [PARAMETER_PATHS[p] for p in PARAMETERS]
+    for rep in range(config.replications):
+        rng = np.random.default_rng([config.seed, rep])
+        try:
+            data, _ = generate_dataset(config, rng)
+            fit_p = fit_correlation_model(pearson_matrix(data), model, max_iter=max_iter)
+            sigma_poly, _ = polychoric_matrix(data, epsilon=config.epsilon)
+            if sigma_poly.pd_status == "failed":
+                eig = sigma_poly.min_eigenvalue()
+                raise DataError(f"polychoric matrix not positive definite (smallest eigenvalue {eig:.3g})")
+            fit_o = fit_correlation_model(sigma_poly, model, max_iter=max_iter)
+        except (DataError, ConvergenceError, EstimationError) as exc:
+            failures.append({"replication": rep, "error": str(exc)})
+            continue
+        for engine, fit in (("pls", fit_p), ("opls", fit_o)):
+            rows[f"bias_{engine}"].append(fit.path_coefficients(paths) - truth)
+            rows[f"loadings_{engine}"].append(fit.loadings)
+            rows[f"weights_{engine}"].append(fit.weights.raw[model.weight_pattern() == 1.0])
+    if not rows["bias_pls"]:
+        return None, failures
+    return {name: np.vstack(values) for name, values in rows.items()}, failures
+
+
+def assert_same_report(report, arrays, failures):
+    for name in REPORT_ARRAYS:
+        assert np.array_equal(getattr(report, name), arrays[name]), name
+    assert report.failures == failures
+
+
+class TestStackedStudy:
+    """``run_study`` fits each route as a stack and keeps the per-replication results."""
+
+    @pytest.mark.parametrize(
+        "law, npoints, seed, max_iter",
+        [
+            ("beta", 4, 127, DEFAULT_MAX_ITER),  # replication 0 is not positive definite
+            ("normal", 9, 3, DEFAULT_MAX_ITER),
+            # With 5 iterations some members fail in their stack and are fitted
+            # again alone: Pearson fits at beta/4, and at normal/9 the
+            # polychoric fit of replication 38, whose Pearson fit converges.
+            ("beta", 4, 127, 5),
+            ("normal", 9, 3, 5),
+        ],
+    )
+    def test_matches_per_replication_loop(self, monkeypatch, law, npoints, seed, max_iter):
+        config = SimulationConfig(latent_law=law, npoints=npoints, replications=40, seed=seed)
+        arrays, failures = reference_study(config, max_iter=max_iter)
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_ITER", max_iter)
+        assert_same_report(run_study(config), arrays, failures)
+        if max_iter == 5:
+            assert any("did not converge in 5 iterations" in f["error"] for f in failures)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_results(self, monkeypatch, block):
+        config = SimulationConfig(latent_law="beta", npoints=4, replications=20, seed=127)
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_ITER", 5)
+        default = run_study(config)
+        assert default.n_excluded == 5
+        monkeypatch.setattr(estimation, "_STACK_BLOCK", block)
+        patched = run_study(config)
+        arrays = {name: getattr(default, name) for name in REPORT_ARRAYS}
+        assert_same_report(patched, arrays, default.failures)
+
+    def test_iteration_cap_of_one_gives_the_per_replication_text(self, monkeypatch):
+        config = SimulationConfig(latent_law="normal", npoints=5, replications=3, seed=4)
+        _, failures = reference_study(config, max_iter=1)
+        assert len(failures) == 3
+        raised = []
+
+        def refit(*args, **kwargs):
+            try:
+                return fit_correlation_model(*args, **kwargs)
+            except ConvergenceError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_ITER", 1)
+        monkeypatch.setattr(simulate, "fit_correlation_model", refit)
+        with pytest.raises(DataError) as info:
+            run_study(config)
+        assert raised == [f["error"] for f in failures]
+        for text in raised:
+            assert re.fullmatch(
+                r"matrix PLS did not converge in 1 iterations \(last delta \d\.\d{3}e[+-]\d+\)", text
+            )
+        assert str(info.value) == f"every replication failed (3 of 3); replication 0: {raised[0]}"
+
+    def test_pearson_failure_outranks_polychoric_failure(self, monkeypatch):
+        # Replication 0 of beta/4 at seed 127 has a polychoric matrix that is
+        # not positive definite; a failed Pearson fit of the same replication
+        # is reported instead, as when the polychoric matrix was computed
+        # only after a successful Pearson fit.
+        config = SimulationConfig(latent_law="beta", npoints=4, replications=2, seed=127)
+        calls = []
+
+        def failing_pearson(data):
+            sigma = pearson_matrix(data)
+            calls.append(data)
+            if len(calls) > 1:
+                return sigma
+            return CorrelationMatrix(np.ones_like(sigma.values), "pearson", "failed")
+
+        monkeypatch.setattr(simulate, "pearson_matrix", failing_pearson)
+        report = run_study(config)
+        assert report.failures == [{
+            "replication": 0,
+            "error": "correlation matrix is not positive definite; re-run with PD repair enabled",
+        }]
+        assert report.n_used == 1
