@@ -12,8 +12,10 @@ import numpy as np
 
 from .errors import DataError, EstimationError, OplsError
 from .model import DataMatrix, PathModel
-from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState, matrix_pls_fit
-from .pls import _check_limits, _fit_stack
+from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, FitTrace, WeightState
+from .pls import _as_sigma_values, _check_limits, _fit_error, _fit_stack
+# matrix_pls_fit is no longer called here, but bench/spans.py hooks it here.
+from .pls import matrix_pls_fit  # noqa: F401
 # pearson_matrix and polychoric_matrix are no longer called here, but stay
 # importable from this module: bench/selftest.py patches them here.
 from .polychoric import (  # noqa: F401
@@ -108,13 +110,13 @@ def _structural_solve(p_yy, equations):
     Each equation's normal equations are one stacked solve; on
     standardized variables this is exactly the OLS of the composite
     scores. A singular system fails its member alone: the stack is then
-    solved member by member. Returns, per equation, the B x covariates
-    coefficients and the B values of R^2, and per member the target
+    solved member by member. Returns the B x paths coefficients and the
+    B x equations R^2, both in equation order, and per member the target
     latent of its first singular equation, or -1.
     """
     n = p_yy.shape[0]
     singular = np.full(n, -1)
-    solutions = []
+    coefficients, r_squared = [], []
     for j, cov in equations:
         sub = p_yy[:, cov[:, None], cov]
         rhs = p_yy[:, cov, j][..., None]
@@ -128,8 +130,27 @@ def _structural_solve(p_yy, equations):
                 except np.linalg.LinAlgError:
                     if singular[m] < 0:
                         singular[m] = j
-        solutions.append((beta[..., 0], (beta.swapaxes(-1, -2) @ rhs)[:, 0, 0]))
-    return solutions, singular
+        coefficients.append(beta[..., 0])
+        r_squared.append((beta.swapaxes(-1, -2) @ rhs)[:, 0])
+    return np.hstack(coefficients), np.hstack(r_squared), singular
+
+
+def _inner_error(model: PathModel, j) -> EstimationError:
+    return EstimationError(f"singular inner system for equation '{model.latent_names[j]}'")
+
+
+_LOADING_RANGE = "loadings must lie in [-1, 1]"
+
+
+def _inner_equations(model: PathModel, coefficients, r_squared) -> list[InnerEquation]:
+    """One member's path coefficients and R^2, in equation order, as ``InnerEquation``s."""
+    equations = _structural_equations(model)
+    splits = np.cumsum([cov.size for _, cov in equations])[:-1]
+    names = model.latent_names
+    return [
+        InnerEquation(names[j], tuple(names[k] for k in cov), beta, float(r2))
+        for (j, cov), beta, r2 in zip(equations, np.split(coefficients, splits), r_squared)
+    ]
 
 
 def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation]:
@@ -137,21 +158,11 @@ def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation
 
     This is ``_structural_solve`` on a stack of one matrix.
     """
-    equations = _structural_equations(model)
-    solutions, singular = _structural_solve(np.asarray(p_yy, dtype=float)[None], equations)
+    p_yy = np.asarray(p_yy, dtype=float)[None]
+    coefficients, r_squared, singular = _structural_solve(p_yy, _structural_equations(model))
     if singular[0] >= 0:
-        raise EstimationError(
-            f"singular inner system for equation '{model.latent_names[singular[0]]}'"
-        )
-    return [
-        InnerEquation(
-            target=model.latent_names[j],
-            covariates=tuple(model.latent_names[k] for k in cov),
-            coefficients=beta[0],
-            r_squared=float(r_squared[0]),
-        )
-        for (j, cov), (beta, r_squared) in zip(equations, solutions)
-    ]
+        raise _inner_error(model, singular[0])
+    return _inner_equations(model, coefficients[0], r_squared[0])
 
 
 def outer_loadings(sigma_xy: np.ndarray, model: PathModel) -> np.ndarray:
@@ -172,10 +183,14 @@ def cronbach_alpha_ordinal(block_matrix: np.ndarray) -> float:
     With a polychoric submatrix this is the ordinal variant of alpha.
     """
     r = np.asarray(block_matrix, dtype=float)
-    p = r.shape[0]
-    if r.ndim != 2 or r.shape != (p, p) or p < 2:
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 2:
         raise EstimationError("Cronbach's alpha needs a square block with at least 2 items")
-    return float((p / (p - 1.0)) * (1.0 - p / r.sum()))
+    if not np.all(np.isfinite(r)):
+        raise EstimationError("Cronbach's alpha needs finite correlations")
+    p, total = r.shape[0], r.sum()
+    if total <= 0.0:
+        raise EstimationError(f"Cronbach's alpha is undefined: the block sums to {total:g}")
+    return float((p / (p - 1.0)) * (1.0 - p / total))
 
 
 def dillon_goldstein_rho(loadings) -> float:
@@ -183,10 +198,15 @@ def dillon_goldstein_rho(loadings) -> float:
     lams = np.asarray(loadings, dtype=float)
     if lams.size < 2:
         raise EstimationError("Dillon-Goldstein's rho needs at least 2 items")
+    if not np.all(np.isfinite(lams)):
+        raise EstimationError("Dillon-Goldstein's rho needs finite loadings")
     if np.any(np.abs(lams) > 1.0):
-        raise EstimationError("loadings must lie in [-1, 1]")
-    total = lams.sum() ** 2
-    return float(total / (total + np.sum(1.0 - lams**2)))
+        raise EstimationError(_LOADING_RANGE)
+    common = lams.sum() ** 2
+    total = common + np.sum(1.0 - lams**2)
+    if total <= 0.0:
+        raise EstimationError(f"Dillon-Goldstein's rho is undefined: its total is {total:g}")
+    return float(common / total)
 
 
 def fit_correlation_model(
@@ -197,14 +217,18 @@ def fit_correlation_model(
 ) -> FitResult:
     """Run the matrix engine and the full ending phase on one matrix.
 
-    The fit's ``mode`` follows the matrix kind: "pls" for Pearson input,
-    "opls" for polychoric input.
+    This is ``_fit_members`` on a stack of one, with each block's
+    Cronbach and Dillon-Goldstein reliability added; it raises the error
+    ``_fit_members`` gives the matrix. ``sigma_xx`` is a
+    ``CorrelationMatrix`` or an array, checked as ``matrix_pls_fit``
+    checks it. The fit's ``mode`` follows the matrix kind: "opls" for
+    polychoric input, "pls" for Pearson input or an array.
     """
-    engine = matrix_pls_fit(sigma_xx, model, tol=tol, max_iter=max_iter)
-    sigma = sigma_xx.values
-    sigma_xy = sigma @ engine.weights.standardized
-    lams = outer_loadings(sigma_xy, model)
-    inner = inner_coefficients(engine.latent_correlations, model)
+    sigma = _as_sigma_values(sigma_xx, model)
+    fit, coefficients, r_squared, loadings, errors = _fit_members(sigma[None], model, tol, max_iter)
+    if errors[0] is not None:
+        raise errors[0]
+    lams = loadings[0]
     reliability = []
     for j, latent in enumerate(model.latent_names):
         block = model.block_slice(j)
@@ -220,14 +244,14 @@ def fit_correlation_model(
             )
         )
     return FitResult(
-        mode="opls" if sigma_xx.kind == "polychoric" else "pls",
+        mode="opls" if getattr(sigma_xx, "kind", None) == "polychoric" else "pls",
         model=model,
-        weights=engine.weights,
-        latent_correlations=engine.latent_correlations,
-        inner=inner,
+        weights=WeightState(raw=fit.raw[0], standardized=fit.standardized[0]),
+        latent_correlations=fit.latent_correlations[0],
+        inner=_inner_equations(model, coefficients[0], r_squared[0]),
         loadings=lams,
         reliability=reliability,
-        trace=engine.trace,
+        trace=fit.trace(0),
     )
 
 
@@ -259,12 +283,31 @@ def _blocks(n: int):
 
 
 def _fit_members(sigma, model: PathModel, tol: float, max_iter: int):
-    """``_fit_stack`` of a B x K x K positive definite stack, its B x paths inner coefficients
-    in equation order, and the mask of members that converged with a solvable inner system."""
+    """The ending phase of a B x K x K positive definite stack, fitted as one.
+
+    Returns the ``_fit_stack`` fit, the B x paths inner coefficients and
+    B x equations R^2 in equation order, the B x K loadings, and per
+    member None or the ``OplsError`` that ``fit_correlation_model`` raises
+    on that matrix alone. A member fails, checked in this order, on a
+    singular block, no convergence, a singular inner system, or a loading
+    beyond +/-1 in a block of at least 2 indicators.
+    """
     fit = _fit_stack(sigma, model, tol=tol, max_iter=max_iter)
-    solutions, singular = _structural_solve(fit.latent_correlations, _structural_equations(model))
-    coefficients = np.concatenate([beta for beta, _ in solutions], axis=1)
-    return fit, coefficients, fit.converged & (singular < 0)
+    coefficients, r_squared, singular = _structural_solve(
+        fit.latent_correlations, _structural_equations(model)
+    )
+    loadings = outer_loadings(sigma @ fit.standardized, model)
+    shared = np.repeat(np.array(model.block_sizes) >= 2, model.block_sizes)
+    beyond = np.any(shared & (np.abs(loadings) > 1.0), axis=1)
+    errors = [None] * len(sigma)
+    for m in np.flatnonzero(~fit.converged | (singular >= 0) | beyond):
+        if not fit.converged[m]:
+            errors[m] = _fit_error(model, fit.trace(m), fit.singular[m])
+        elif singular[m] >= 0:
+            errors[m] = _inner_error(model, singular[m])
+        else:
+            errors[m] = EstimationError(_LOADING_RANGE)
+    return fit, coefficients, r_squared, loadings, errors
 
 
 def _pearson_replicates(data: DataMatrix):
@@ -338,15 +381,18 @@ def bootstrap_inner(
     ``_STACK_BLOCK``: the block's correlation matrices come from
     count-weighted moments (``mode="pls"``) or count-weighted pair tables
     (``mode="opls"``, which still solves every pair of every replicate and
-    is slow; budget accordingly), then one stacked PLS fit and structural
-    solve, ``_fit_members``, which ``simulate.run_study`` shares. A
-    replicate fails alone, and is counted in ``n_failed``, when a column is
-    constant in it, its Pearson moments overflow, its matrix is not
-    positive definite, its PLS update is singular or does not converge, an
-    inner system is singular, or its polychoric estimation raises. A standard error needs two replicates:
-    ``n_boot`` below 2, or fewer than 2 replicates that succeed, raise
-    ``EstimationError``. In pls mode, a column that is constant, or whose
-    squares overflow or underflow, in the data themselves raises ``DataError``.
+    is slow; budget accordingly), then one stacked ending phase,
+    ``_fit_members``, which ``simulate.run_study`` and
+    ``fit_correlation_model`` share. A replicate fails alone, and is
+    counted in ``n_failed``, when a column is constant in it, its Pearson
+    moments overflow, its polychoric estimation raises, its matrix is not
+    positive definite, or ``_fit_members`` gives it an error: its PLS
+    update is singular or does not converge, an inner system is singular,
+    or a loading in a block of at least 2 indicators lies beyond +/-1. A
+    standard error needs two replicates: ``n_boot`` below 2, or fewer than
+    2 replicates that succeed, raise ``EstimationError``. In pls mode, a
+    column that is constant, or whose squares overflow or underflow, in the
+    data themselves raises ``DataError``.
     """
     if n_boot < 2:
         raise EstimationError(f"n_boot must be at least 2, got {n_boot}")
@@ -370,7 +416,9 @@ def bootstrap_inner(
             [np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in block], dtype=float
         )
         sigma = correlations(counts)
-        _, coefficients, ok = _fit_members(sigma[_positive_definite(sigma)], model, tol, max_iter)
+        sigma = sigma[_positive_definite(sigma)]
+        _, coefficients, _, _, errors = _fit_members(sigma, model, tol, max_iter)
+        ok = np.array([error is None for error in errors], dtype=bool)
         draws.append(coefficients[ok])
         failed += len(block) - int(ok.sum())
     b = np.concatenate(draws)

@@ -134,18 +134,38 @@ def _matrix_step(sigma, t_sym, chi, weights):
 
 
 def _as_sigma_values(sigma_xx, model) -> np.ndarray:
-    if isinstance(sigma_xx, CorrelationMatrix):
-        if sigma_xx.pd_status == "failed":
-            raise DataError(
-                "correlation matrix is not positive definite; re-run with PD repair enabled"
-            )
-        values = sigma_xx.values
-    else:
-        values = np.asarray(sigma_xx, dtype=float)
+    """The values of ``sigma_xx``, positive definite and in the model's indicator order.
+
+    An array is first checked as ``CorrelationMatrix.build`` checks it.
+    """
+    if not isinstance(sigma_xx, CorrelationMatrix):
+        sigma_xx = CorrelationMatrix.build(sigma_xx, "pearson")
+    if sigma_xx.pd_status == "failed":
+        raise DataError(
+            "correlation matrix is not positive definite; re-run with PD repair enabled"
+        )
+    values = sigma_xx.values
     k = model.n_indicators
     if values.shape != (k, k):
         raise DataError(f"correlation matrix is {values.shape}, model expects ({k}, {k})")
     return values
+
+
+def _fit_error(model, trace: FitTrace, singular=-1, engine="matrix PLS"):
+    """The ConvergenceError of a fit whose update was singular for latent ``singular``
+    (-1 for none) or whose ``trace`` did not converge; None for a converged fit."""
+    if singular >= 0:
+        return ConvergenceError(
+            f"singular block: zero weight-update column sum for latent "
+            f"'{model.latent_names[singular]}'"
+        )
+    if not trace.converged:
+        return ConvergenceError(
+            f"{engine} did not converge in {trace.iterations} iterations "
+            f"(last delta {trace.deltas[-1]:.3e})",
+            trace=trace,
+        )
+    return None
 
 
 @dataclass
@@ -165,6 +185,10 @@ class _StackFit:
     deltas: np.ndarray
     converged: np.ndarray
     singular: np.ndarray
+
+    def trace(self, member) -> FitTrace:
+        deltas = self.deltas[:, member]
+        return FitTrace(deltas[~np.isnan(deltas)].tolist(), bool(self.converged[member]))
 
 
 def _fit_stack(
@@ -230,7 +254,10 @@ def matrix_pls_fit(
     ----------
     sigma_xx : CorrelationMatrix or array
         Indicator correlation matrix (Pearson or polychoric), positive
-        definite, in the model's indicator order.
+        definite, in the model's indicator order. An array is checked as
+        ``CorrelationMatrix.build`` checks it; one that is not square,
+        finite, symmetric, unit-diagonal or positive definite raises
+        DataError.
     tol : float
         Frobenius-norm threshold on the raw-weight change.
     max_iter : int
@@ -238,22 +265,12 @@ def matrix_pls_fit(
     """
     sigma = _as_sigma_values(sigma_xx, model)
     stack = _fit_stack(sigma[None], model, tol=tol, max_iter=max_iter)
-    if stack.singular[0] >= 0:
-        raise ConvergenceError(
-            f"singular block: zero weight-update column sum for latent "
-            f"'{model.latent_names[stack.singular[0]]}'"
-        )
-    deltas = stack.deltas[:, 0]
-    trace = FitTrace(deltas=deltas[~np.isnan(deltas)].tolist(), converged=bool(stack.converged[0]))
-    if not trace.converged:
-        raise ConvergenceError(
-            f"matrix PLS did not converge in {max_iter} iterations "
-            f"(last delta {trace.deltas[-1]:.3e})",
-            trace=trace,
-        )
+    error = _fit_error(model, stack.trace(0), stack.singular[0])
+    if error is not None:
+        raise error
     state = WeightState(raw=stack.raw[0], standardized=stack.standardized[0])
     return MatrixPLSResult(
-        weights=state, latent_correlations=stack.latent_correlations[0], trace=trace
+        weights=state, latent_correlations=stack.latent_correlations[0], trace=stack.trace(0)
     )
 
 
@@ -306,11 +323,7 @@ def score_based_pls_fit(
         c = chi * (z.T @ instrumental) / (n - 1)
         colsum = c.sum(axis=0)
         if np.any(colsum == 0.0):
-            j = int(np.flatnonzero(colsum == 0.0)[0])
-            raise ConvergenceError(
-                f"singular block: zero weight-update column sum for latent "
-                f"'{model.latent_names[j]}'"
-            )
+            raise _fit_error(model, trace, int(np.flatnonzero(colsum == 0.0)[0]))
         sigma_xy = z.T @ scores / (n - 1)
         orientation = _sign0(np.where(chi == 1.0, _sign0(sigma_xy), 0.0).sum(axis=0))
         new_weights = (c / colsum) * orientation
@@ -322,11 +335,7 @@ def score_based_pls_fit(
             break
         scores = _standardize_columns(z @ (weights / weights.sum(axis=0)), "composite")
     if not trace.converged:
-        raise ConvergenceError(
-            f"score-based PLS did not converge in {max_iter} iterations "
-            f"(last delta {trace.deltas[-1]:.3e})",
-            trace=trace,
-        )
+        raise _fit_error(model, trace, engine="score-based PLS")
     composite = z @ weights
     sw = weights / composite.std(axis=0, ddof=1)
     return ScorePLSResult(

@@ -22,9 +22,11 @@ import numpy as np
 
 from .distributions import sample_standardized_beta
 from .errors import DataError, OplsError
-from .estimation import _blocks, _fit_members, fit_correlation_model, outer_loadings
+from .estimation import _blocks, _fit_members
+# fit_correlation_model is no longer called here, but bench/spans.py hooks it here.
+from .estimation import fit_correlation_model  # noqa: F401
 from .model import DataMatrix, PathModel, build_model
-from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, _as_sigma_values
 from .polychoric import _check_epsilon, pearson_matrix, polychoric_matrix
 
 __all__ = [
@@ -317,22 +319,27 @@ class BiasReport:
 
 def _fit_route(sigmas: dict, model: PathModel, errors: dict) -> dict:
     """Fit ``sigmas`` (replication -> matrix) as one stack: replication -> (inner
-    coefficients, loadings, raw weights) of each member that succeeds. Any
-    other is fitted again alone, and the text of its error goes into ``errors``."""
-    reps = [rep for rep, sigma in sigmas.items() if sigma.pd_status != "failed"]
-    k = model.n_indicators
-    stack = np.array([sigmas[rep].values for rep in reps]).reshape(-1, k, k)
-    fit, coefficients, ok = _fit_members(stack, model, DEFAULT_TOL, DEFAULT_MAX_ITER)
-    loadings = outer_loadings(stack @ fit.standardized, model)
-    ok &= ~np.any(np.abs(loadings) > 1.0, axis=1)  # dillon_goldstein_rho rejects those
-    weights = fit.raw[:, np.arange(k), model.indicator_latents]
-    fitted = {rep: (coefficients[i], loadings[i], weights[i]) for i, rep in enumerate(reps) if ok[i]}
-    for rep in sorted(sigmas.keys() - fitted.keys()):
+    coefficients, loadings, raw weights) of each member that succeeds. The text
+    of any other's error goes into ``errors``: the input check's for a matrix
+    that is not positive definite, else the one ``_fit_members`` gives it."""
+    checked = {}
+    for rep, sigma in sigmas.items():
         try:
-            fit_correlation_model(sigmas[rep], model, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
+            checked[rep] = _as_sigma_values(sigma, model)
         except OplsError as exc:
             errors[rep] = str(exc)
-    return fitted
+    k = model.n_indicators
+    stack = np.array(list(checked.values())).reshape(-1, k, k)
+    fit, coefficients, _, loadings, failed = _fit_members(
+        stack, model, DEFAULT_TOL, DEFAULT_MAX_ITER
+    )
+    weights = fit.raw[:, np.arange(k), model.indicator_latents]
+    errors.update((rep, str(error)) for rep, error in zip(checked, failed) if error is not None)
+    return {
+        rep: (coefficients[i], loadings[i], weights[i])
+        for i, rep in enumerate(checked)
+        if failed[i] is None
+    }
 
 
 def run_study(config: SimulationConfig) -> BiasReport:
@@ -342,9 +349,12 @@ def run_study(config: SimulationConfig) -> BiasReport:
     (config.seed, replication index), so results do not depend on
     execution order and are reproducible bit for bit. A block of
     ``estimation._STACK_BLOCK`` replications fits its Pearson, then its
-    polychoric, matrices as one stack each. Replications whose fit fails
-    or whose polychoric matrix is not positive definite are excluded and
-    reported with the reason, never silently dropped.
+    polychoric, matrices as one stack each (``estimation._fit_members``).
+    Replications whose fit fails or whose polychoric matrix is not
+    positive definite are excluded and reported with the reason, never
+    silently dropped; a failed fit's reason is the error that stack gives
+    the member, the text ``fit_correlation_model`` raises on that matrix
+    alone, and no member is fitted twice.
     """
     model = simulation_model()
     kept, failures = [], []

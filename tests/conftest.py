@@ -129,3 +129,22 @@ def ordinal_dataset(model, rng, n=250, npoints=5):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def no_single_fits(monkeypatch):
+    """Make every one-matrix fit raise where a stacked path could reach it."""
+    from oplspm import estimation, pls, simulate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stacked path made a one-matrix fit")
+
+    for module, name in (
+        (estimation, "fit_correlation_model"),
+        (estimation, "matrix_pls_fit"),
+        (estimation, "inner_coefficients"),
+        (estimation, "dillon_goldstein_rho"),
+        (pls, "matrix_pls_fit"),
+        (simulate, "fit_correlation_model"),
+    ):
+        monkeypatch.setattr(module, name, refuse)

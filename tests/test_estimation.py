@@ -134,6 +134,17 @@ class TestReliability:
         with pytest.raises(EstimationError):
             cronbach_alpha_ordinal(np.array([[1.0]]))
 
+    @pytest.mark.parametrize("block, message", [
+        ([[1.0, -1.0], [-1.0, 1.0]], "block sums to 0"),
+        ([[1.0, -0.9, -0.9], [-0.9, 1.0, 0.0], [-0.9, 0.0, 1.0]], "block sums to -0.6"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+        ([[1.0, np.inf], [np.inf, 1.0]], "finite"),
+        (0.5, "square block"),
+    ], ids=["zero-sum", "negative-sum", "nan", "inf", "scalar"])
+    def test_alpha_rejects_degenerate_blocks(self, block, message):
+        with pytest.raises(EstimationError, match=message):
+            cronbach_alpha_ordinal(np.array(block))
+
     def test_rho_perfect_indicators(self):
         assert dillon_goldstein_rho([1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
 
@@ -150,6 +161,16 @@ class TestReliability:
     def test_rho_needs_two_items(self):
         with pytest.raises(EstimationError):
             dillon_goldstein_rho([0.9])
+
+    @pytest.mark.parametrize("lams, message", [
+        ([np.nan, 0.5], "finite"),
+        ([np.inf, 0.5], "finite"),
+        ([1.0, -1.0], "total is 0"),
+        ([1.2, 0.5], r"loadings must lie in \[-1, 1\]"),
+    ], ids=["nan", "inf", "zero-total", "beyond-one"])
+    def test_rho_rejects_degenerate_loadings(self, lams, message):
+        with pytest.raises(EstimationError, match=message):
+            dillon_goldstein_rho(lams)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=0.99), min_size=2, max_size=6),
@@ -193,6 +214,18 @@ class TestFitResult:
             fit.path_coefficients([("b", "a"), ("a", "c")])
         with pytest.raises(EstimationError, match="path c -> b"):
             fit.path_coefficients([("b", "c")])
+
+    def test_array_input_fits_as_pearson(self, rng):
+        model = chain_model()
+        sigma = pearson_matrix(factor_dataset(model, rng))
+        fit = fit_correlation_model(sigma.values, model)
+        want = fit_correlation_model(sigma, model)
+        assert fit.mode == "pls"
+        assert np.array_equal(fit.weights.raw, want.weights.raw)
+        assert np.array_equal(fit.loadings, want.loadings)
+        assert [eq.coefficients.tolist() for eq in fit.inner] == [
+            eq.coefficients.tolist() for eq in want.inner
+        ]
 
     def test_single_indicator_block_reliability_is_none(self, rng):
         model = build_model(
@@ -358,6 +391,22 @@ def loop_bootstrap(data, model, mode, n_boot, seed, epsilon=0.5):
     return names, b.std(axis=0, ddof=1), p, len(draws), failed
 
 
+def two_block_stack():
+    """A two-block model and three correlation matrices for it: ``linked``, ``unlinked``
+    (no correlation across blocks, so the first weight update is singular) and ``other``."""
+    model = build_model(
+        "two", ["a"], ["b"], {"a": ["x1", "x2"], "b": ["y1", "y2"]}, [("a", "b")]
+    )
+    linked = np.array(
+        [[1.0, 0.5, 0.3, 0.2], [0.5, 1.0, 0.4, 0.3], [0.3, 0.4, 1.0, 0.6], [0.2, 0.3, 0.6, 1.0]]
+    )
+    unlinked = linked.copy()
+    unlinked[:2, 2:] = unlinked[2:, :2] = 0.0
+    other = linked.copy()
+    other[:2, 2:] = other[2:, :2] = -0.25
+    return model, linked, unlinked, other
+
+
 def rare_category_data(rng, model, n=60):
     # category 5 of the first column appears in two rows only, so a replicate
     # misses it with probability about (1 - 2/n)^n, about 0.13
@@ -476,16 +525,7 @@ class TestCountWeightedBootstrap:
         assert heavy <= result.n_failed < estimation._STACK_BLOCK - 1
 
     def test_singular_update_fails_its_member_alone(self):
-        model = build_model(
-            "two", ["a"], ["b"], {"a": ["x1", "x2"], "b": ["y1", "y2"]}, [("a", "b")]
-        )
-        linked = np.array(
-            [[1.0, 0.5, 0.3, 0.2], [0.5, 1.0, 0.4, 0.3], [0.3, 0.4, 1.0, 0.6], [0.2, 0.3, 0.6, 1.0]]
-        )
-        unlinked = linked.copy()
-        unlinked[:2, 2:] = unlinked[2:, :2] = 0.0
-        other = linked.copy()
-        other[:2, 2:] = other[2:, :2] = -0.25
+        model, linked, unlinked, other = two_block_stack()
         fit = pls._fit_stack(np.stack([linked, unlinked, other]), model)
         assert fit.singular.tolist() == [-1, 0, -1]
         assert fit.converged.tolist() == [True, False, True]
@@ -502,15 +542,54 @@ class TestCountWeightedBootstrap:
         with pytest.raises(ConvergenceError, match="zero weight-update column sum for latent 'a'"):
             matrix_pls_fit(unlinked, model)
 
+    @pytest.mark.parametrize("max_iter, kinds", [
+        # linked needs 5 iterations, other 1 and rounded 14; unlinked is singular
+        (4, [ConvergenceError, ConvergenceError, None, ConvergenceError]),
+        (pls.DEFAULT_MAX_ITER, [None, ConvergenceError, None, EstimationError]),
+    ])
+    def test_member_errors_match_single_fits(self, max_iter, kinds):
+        model, *sigmas = two_block_stack()
+        # positive definite, but its weights put a block on one indicator, whose
+        # loading rounds to 1 + 2**-52
+        rounded = np.array([[1.0, -0.4, -0.1, 0.0], [-0.4, 1.0, 0.0, 0.4],
+                            [-0.1, 0.0, 1.0, -0.3], [0.0, 0.4, -0.3, 1.0]])
+        sigmas.append(rounded)
+        *_, errors = estimation._fit_members(np.stack(sigmas), model, pls.DEFAULT_TOL, max_iter)
+        assert [None if error is None else type(error) for error in errors] == kinds
+        for sigma, error in zip(sigmas, errors):
+            try:
+                fit_correlation_model(sigma, model, max_iter=max_iter)
+            except OplsError as exc:
+                assert (type(exc), str(exc)) == (type(error), str(error))
+            else:
+                assert error is None
+        assert "zero weight-update column sum for latent 'a'" in str(errors[1])
+        if max_iter == 4:
+            assert str(errors[0]).startswith("matrix PLS did not converge in 4 iterations")
+            assert errors[0].trace.iterations == 4
+        else:
+            assert str(errors[3]) == "loadings must lie in [-1, 1]"
+
+    def test_failed_members_make_no_single_fit(self, rng, request):
+        model = chain_model()
+        data = factor_dataset(model, rng, n=40)
+        want = bootstrap_inner(data, model, mode="pls", n_boot=40, seed=2, max_iter=8)
+        assert 0 < want.n_failed < 40
+        request.getfixturevalue("no_single_fits")
+        got = bootstrap_inner(data, model, mode="pls", n_boot=40, seed=2, max_iter=8)
+        assert np.array_equal(got.standard_errors, want.standard_errors)
+        assert (got.n_effective, got.n_failed) == (want.n_effective, want.n_failed)
+
     def test_singular_inner_system_fails_its_member_alone(self):
         good = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, 0.4], [0.5, 0.4, 1.0]])
         bad = good.copy()
         bad[0, 1] = bad[1, 0] = 1.0  # identical covariates
         equations = [(2, np.array([0, 1]))]
-        solutions, singular = estimation._structural_solve(np.stack([good, bad, good]), equations)
-        [(coefficients, r_squared)] = solutions
+        coefficients, r_squared, singular = estimation._structural_solve(
+            np.stack([good, bad, good]), equations
+        )
         assert singular.tolist() == [-1, 2, -1]
         beta = np.linalg.solve(good[:2, :2], good[:2, 2])
         assert np.allclose(coefficients[0], beta, atol=1e-15)
-        assert r_squared[0] == pytest.approx(beta @ good[:2, 2], abs=1e-15)
+        assert r_squared[0, 0] == pytest.approx(beta @ good[:2, 2], abs=1e-15)
         assert np.array_equal(coefficients[0], coefficients[2])

@@ -146,6 +146,26 @@ class TestMatrixEngine:
         with pytest.raises(DataError, match="expects"):
             matrix_pls_fit(np.eye(4), model)
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda v: v[:3], "must be square"),
+        (lambda v: np.full_like(v, np.nan), "non-finite entries"),
+        (lambda v: v + np.triu(np.full_like(v, 0.05), 1), "must be symmetric"),
+        (lambda v: 2.0 * v, "unit diagonal"),
+        (lambda v: np.array([[1.0, 0.9, 0.9, 0.0], [0.9, 1.0, -0.9, 0.0],
+                             [0.9, -0.9, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+         "not positive definite; re-run with PD repair enabled"),
+    ], ids=["not-square", "not-finite", "not-symmetric", "not-unit-diagonal", "not-pd"])
+    def test_invalid_array_rejected(self, change, message):
+        # an array is checked as CorrelationMatrix.build checks it
+        model = build_model(
+            "two", ["a"], ["b"], {"a": ["x1", "x2"], "b": ["y1", "y2"]}, [("a", "b")]
+        )
+        sigma = np.array(
+            [[1.0, 0.5, 0.3, 0.2], [0.5, 1.0, 0.4, 0.3], [0.3, 0.4, 1.0, 0.6], [0.2, 0.3, 0.6, 1.0]]
+        )
+        with pytest.raises(DataError, match=message):
+            matrix_pls_fit(change(sigma), model)
+
     def test_failed_pd_status_rejected(self):
         from oplspm.polychoric import CorrelationMatrix
 

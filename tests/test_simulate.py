@@ -267,25 +267,36 @@ class TestStackedStudy:
         config = SimulationConfig(latent_law="normal", npoints=5, replications=3, seed=4)
         _, failures = reference_study(config, max_iter=1)
         assert len(failures) == 3
-        raised = []
-
-        def refit(*args, **kwargs):
-            try:
-                return fit_correlation_model(*args, **kwargs)
-            except ConvergenceError as exc:
-                raised.append(str(exc))
-                raise
-
-        monkeypatch.setattr(simulate, "DEFAULT_MAX_ITER", 1)
-        monkeypatch.setattr(simulate, "fit_correlation_model", refit)
-        with pytest.raises(DataError) as info:
-            run_study(config)
-        assert raised == [f["error"] for f in failures]
-        for text in raised:
+        texts = [f["error"] for f in failures]
+        for text in texts:
             assert re.fullmatch(
                 r"matrix PLS did not converge in 1 iterations \(last delta \d\.\d{3}e[+-]\d+\)", text
             )
-        assert str(info.value) == f"every replication failed (3 of 3); replication 0: {raised[0]}"
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_ITER", 1)
+        # every Pearson fit fails, so the whole stack's texts are its route's
+        sigmas = {}
+        for rep in range(3):
+            data, _ = generate_dataset(config, np.random.default_rng([config.seed, rep]))
+            sigmas[rep] = pearson_matrix(data)
+        errors = {}
+        assert simulate._fit_route(sigmas, simulation_model(), errors) == {}
+        assert [errors[rep] for rep in range(3)] == texts
+        with pytest.raises(DataError) as info:
+            run_study(config)
+        assert str(info.value) == f"every replication failed (3 of 3); replication 0: {texts[0]}"
+
+    def test_failures_are_read_off_the_stack(self, monkeypatch, request):
+        # At 5 iterations normal/4 seed 1 has failed members in both stacks:
+        # Pearson fits (replication 3 and others) and the polychoric fit of
+        # replication 17, whose Pearson fit converges. No member is fitted alone.
+        config = SimulationConfig(latent_law="normal", npoints=4, replications=40, seed=1)
+        arrays, failures = reference_study(config, max_iter=5)
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_ITER", 5)
+        request.getfixturevalue("no_single_fits")
+        report = run_study(config)
+        assert_same_report(report, arrays, failures)
+        failed = {f["replication"] for f in failures}
+        assert {3, 17} <= failed
 
     def test_pearson_failure_outranks_polychoric_failure(self, monkeypatch):
         # Replication 0 of beta/4 at seed 127 has a polychoric matrix that is
