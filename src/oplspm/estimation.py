@@ -140,6 +140,14 @@ def _inner_error(model: PathModel, j) -> EstimationError:
 
 
 _LOADING_RANGE = "loadings must lie in [-1, 1]"
+# A loading is a correlation: from a positive definite matrix it passes +/-1 only by
+# rounding, by an ulp or two where a block's weight falls wholly on one indicator.
+_LOADING_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _checked_loadings(lams):
+    """Loadings clipped to [-1, 1], and which lie beyond it by more than rounding."""
+    return np.clip(lams, -1.0, 1.0), np.abs(lams) > 1.0 + _LOADING_ROUNDING
 
 
 def _inner_equations(model: PathModel, coefficients, r_squared) -> list[InnerEquation]:
@@ -194,13 +202,18 @@ def cronbach_alpha_ordinal(block_matrix: np.ndarray) -> float:
 
 
 def dillon_goldstein_rho(loadings) -> float:
-    """Composite reliability from a block's loadings."""
+    """Composite reliability from a block's loadings.
+
+    A loading beyond +/-1 by a few ulp is rounding and counts as +/-1; one
+    beyond that raises.
+    """
     lams = np.asarray(loadings, dtype=float)
     if lams.size < 2:
         raise EstimationError("Dillon-Goldstein's rho needs at least 2 items")
     if not np.all(np.isfinite(lams)):
         raise EstimationError("Dillon-Goldstein's rho needs finite loadings")
-    if np.any(np.abs(lams) > 1.0):
+    lams, beyond = _checked_loadings(lams)
+    if beyond.any():
         raise EstimationError(_LOADING_RANGE)
     common = lams.sum() ** 2
     total = common + np.sum(1.0 - lams**2)
@@ -290,15 +303,16 @@ def _fit_members(sigma, model: PathModel, tol: float, max_iter: int):
     member None or the ``OplsError`` that ``fit_correlation_model`` raises
     on that matrix alone. A member fails, checked in this order, on a
     singular block, no convergence, a singular inner system, or a loading
-    beyond +/-1 in a block of at least 2 indicators.
+    beyond +/-1 by more than rounding in a block of at least 2 indicators.
+    The loadings are clipped to [-1, 1].
     """
     fit = _fit_stack(sigma, model, tol=tol, max_iter=max_iter)
     coefficients, r_squared, singular = _structural_solve(
         fit.latent_correlations, _structural_equations(model)
     )
-    loadings = outer_loadings(sigma @ fit.standardized, model)
+    loadings, out_of_range = _checked_loadings(outer_loadings(sigma @ fit.standardized, model))
     shared = np.repeat(np.array(model.block_sizes) >= 2, model.block_sizes)
-    beyond = np.any(shared & (np.abs(loadings) > 1.0), axis=1)
+    beyond = np.any(shared & out_of_range, axis=1)
     errors = [None] * len(sigma)
     for m in np.flatnonzero(~fit.converged | (singular >= 0) | beyond):
         if not fit.converged[m]:

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .distributions import _bvn_cdf_finite, _bvn_pdf_drho, std_normal_quantile
+from .distributions import (
+    _TIER_EDGES,
+    _bvn_cdf_finite,
+    _bvn_pdf_drho,
+    std_normal_pdf,
+    std_normal_quantile,
+)
 from .errors import ConvergenceError, DataError
 from .model import DataMatrix
 
@@ -200,6 +206,7 @@ def estimate_thresholds(column) -> ThresholdSet:
     cumulative relative frequency up to that category; values beyond +/-4
     are clipped to +/-4. Categories never chosen by any respondent are
     collapsed away (the original codes are retained in ``categories``).
+    This is the one-column case of ``_thresholds_from_counts``.
 
     Raises
     ------
@@ -213,26 +220,64 @@ def estimate_thresholds(column) -> ThresholdSet:
     if np.any(codes != np.round(codes)) or np.any(codes < 1):
         raise DataError("ordinal codes must be integers >= 1")
     observed, counts = np.unique(codes.astype(int), return_counts=True)
-    return _thresholds_from_counts(counts, observed)
+    return _thresholds_from_counts(counts[None], [observed])[0][0]
 
 
-def _thresholds_from_counts(counts, categories) -> ThresholdSet:
-    """Thresholds from the positive counts of the given categories, in code order."""
-    if len(categories) < 2:
-        raise DataError("single observed category: no interior threshold estimable")
-    cumulative = np.cumsum(counts) / counts.sum()
-    cuts = std_normal_quantile(cumulative[:-1])
-    cuts = np.clip(np.atleast_1d(cuts), -THRESHOLD_BOUND, THRESHOLD_BOUND)
-    ties = np.flatnonzero(np.diff(cuts) <= 0)
-    if ties.size:
-        # Cut i separates categories[i] and categories[i + 1].
-        i = int(ties[0])
-        low, mid, high = (int(c) for c in categories[i : i + 3])
+def _thresholds_from_counts(counts, categories, columns=None):
+    """Every column's thresholds from its category counts, in one pass.
+
+    Row k of the K x I ``counts`` holds column k's integer counts of the
+    codes in the array ``categories[k]``, in code order, padded with
+    zeros; a category of zero count is collapsed away. Each interior cut
+    is the standard-normal quantile of the cumulative share up to its
+    category, clipped to +/-4. Returns each column's ``ThresholdSet``, the K x I
+    positions in its row of its drawn categories, padded with -1, and the
+    K x (I - 1) cuts, padded with 0.
+
+    Raises
+    ------
+    DataError
+        On the first column with a single drawn category or with two cuts
+        that clip to one value, prefixed with its name from ``columns``
+        when given.
+    """
+    counts = np.asarray(counts, dtype=float)
+    k, width = counts.shape
+    drawn = counts > 0
+    sizes = np.count_nonzero(drawn, axis=1)
+    # each row's drawn categories first, in code order
+    position = np.argsort(~drawn, axis=1, kind="stable")
+    cumulative = np.cumsum(np.take_along_axis(counts, position, axis=1), axis=1)
+    position[np.arange(width) >= sizes[:, None]] = -1
+    live = np.arange(width - 1) < sizes[:, None] - 1
+    cuts = np.zeros((k, width - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = cumulative[:, :-1] / cumulative[:, -1:]
+    cuts[live] = std_normal_quantile(shares[live])
+    np.clip(cuts, -THRESHOLD_BOUND, THRESHOLD_BOUND, out=cuts)
+    ties = live[:, 1:] & (np.diff(cuts, axis=1) <= 0)
+    single = sizes < 2
+    failed = single | ties.any(axis=1)
+    if failed.any():
+        j = int(np.argmax(failed))
+        where = "" if columns is None else f"column '{columns[j]}': "
+        if single[j]:
+            raise DataError(f"{where}single observed category: no interior threshold estimable")
+        # cut i separates the drawn categories i and i + 1
+        i = int(np.argmax(ties[j]))
+        low, mid, high = (int(c) for c in categories[j][position[j, i : i + 3]])
         raise DataError(
-            "thresholds not strictly increasing after clipping at +/-4: the cuts between "
-            f"codes {low}|{mid} and {mid}|{high} both clip to {cuts[i]:+g}"
+            f"{where}thresholds not strictly increasing after clipping at +/-4: the cuts between "
+            f"codes {low}|{mid} and {mid}|{high} both clip to {cuts[j, i]:+g}"
         )
-    return ThresholdSet(cuts=cuts, categories=tuple(int(c) for c in categories))
+    thresholds = [
+        ThresholdSet(
+            cuts=cuts[j, : sizes[j] - 1].copy(),
+            categories=tuple(int(c) for c in observed[position[j, : sizes[j]]]),
+        )
+        for j, observed in enumerate(categories)
+    ]
+    return thresholds, position, cuts
 
 
 def _cell_probabilities(cuts_h, cuts_k, rho, derivatives=False):
@@ -309,8 +354,11 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     only on its own table and thresholds, not on the pairs that share its
     call.
 
-    Each pair starts cold at the Pearson correlation of its category
-    indices under its own table. Newton steps on the analytic score
+    Each pair starts at its first-order polychoric estimate
+    (``_first_order_start``): the correlation of the two columns' normal
+    scores under its own table, divided by the square root of the scores'
+    variances, or that correlation itself where the quotient is not finite
+    or reaches |rho| 0.925, or 0. Newton steps on the analytic score
     (dPhi2/drho = phi2) climb from there inside a bracket that starts as
     [-0.999, 0.999] and shrinks to the uphill side of each point; a step
     that leaves it, meets a curvature that is not negative or does not
@@ -323,7 +371,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
 
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
-    n, rows, cols = weights.shape
+    n = weights.shape[0]
 
     def evaluate(active, rho, derivatives):
         # Loglikelihood (and score, curvature) of the active pairs at rho.
@@ -343,12 +391,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         curvature = np.sum(w * (d2p / probs - ratio * ratio), axis=(1, 2))
         return loglik, score, curvature, floored
 
-    # index correlations, +/-1 when concordant
-    p = weights / weights.sum(axis=(1, 2), keepdims=True)
-    d_h = np.arange(rows)[:, None] - np.sum(p * np.arange(rows)[:, None], axis=(1, 2), keepdims=True)
-    d_k = np.arange(cols) - np.sum(p * np.arange(cols), axis=(1, 2), keepdims=True)
-    cov, var_h, var_k = (np.sum(p * d, axis=(1, 2)) for d in (d_h * d_k, d_h * d_h, d_k * d_k))
-    rho = np.clip(cov / np.sqrt(var_h * var_k), -np.nextafter(RHO_BOUND, 0), np.nextafter(RHO_BOUND, 0))
+    rho = _first_order_start(weights, cuts_h, cuts_k)
     lo, hi = np.full(n, -RHO_BOUND), np.full(n, RHO_BOUND)
     best, loglik = rho.copy(), np.full(n, -np.inf)
     step, older = np.full((2, n), hi - lo)  # the last two step lengths
@@ -388,6 +431,51 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     return best, loglik, ~active
 
 
+def _open_limits(cuts):
+    """n columns' stacked cuts with the open outer limits -inf and +inf attached."""
+    ends = np.full((cuts.shape[0], 1), np.inf)
+    return np.concatenate([-ends, cuts, ends], axis=1)
+
+
+def _normal_scores(cuts):
+    """Each category's normal score and the scores' variance, for n columns' stacked cuts.
+
+    Category i of cuts u, padded with -/+inf, gets s_i = (phi(u_{i-1}) -
+    phi(u_i)) / pi_i, the mean of the latent normal over it, where pi_i =
+    Phi(u_i) - Phi(u_{i-1}); the variance is sum_i pi_i s_i^2. Returns
+    n x I scores and n variances, non-finite where Phi does not separate
+    two cuts.
+    """
+    limits = _open_limits(cuts)
+    shares = np.diff(ndtr(limits), axis=1)
+    scores = -np.diff(std_normal_pdf(limits), axis=1) / shares
+    return scores, np.sum(shares * scores * scores, axis=1)
+
+
+def _first_order_start(weights, cuts_h, cuts_k):
+    """Each pair's first-order polychoric estimate, the start of its Newton solve.
+
+    r is the correlation of the two columns' normal scores under the
+    pair's own table. By the tetrachoric series, Cov(s_h, s_k) = rho v_h v_k
+    + O(rho^2) for score variances v, so the start is r / sqrt(v_h v_k).
+    Where that is not finite, or reaches the near-singular BVN tier
+    (|rho| >= 0.925), where a start's floored or underflowed cells can
+    mislead the solve, the start is r itself, or 0 where r is not finite
+    either; it is then clipped inside +/-0.999.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        (s_h, v_h), (s_k, v_k) = _normal_scores(cuts_h), _normal_scores(cuts_k)
+        p = weights / weights.sum(axis=(1, 2), keepdims=True)
+        d_h = s_h[:, :, None] - np.sum(p * s_h[:, :, None], axis=(1, 2), keepdims=True)
+        d_k = s_k[:, None, :] - np.sum(p * s_k[:, None, :], axis=(1, 2), keepdims=True)
+        cov, var_h, var_k = (np.sum(p * d, axis=(1, 2)) for d in (d_h * d_k, d_h * d_h, d_k * d_k))
+        r = cov / np.sqrt(var_h * var_k)
+        rho = r / np.sqrt(v_h * v_k)
+    fallback = np.where(np.isfinite(r), r, 0.0)
+    rho = np.where(np.isfinite(rho) & (np.abs(rho) < _TIER_EDGES[-1]), rho, fallback)
+    return np.clip(rho, -np.nextafter(RHO_BOUND, 0), np.nextafter(RHO_BOUND, 0))
+
+
 def _bound_ceiling(weights, cuts_h, cuts_k, bound):
     """An upper bound on each pair's floored loglikelihood at rho = ``bound`` (+/-0.999).
 
@@ -402,7 +490,7 @@ def _bound_ceiling(weights, cuts_h, cuts_k, bound):
     about 1e-15, so it also caps the computed probability and, being above
     the floor, its floored value.
     """
-    lim_h, lim_k = (np.pad(c, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf)) for c in (cuts_h, cuts_k))
+    lim_h, lim_k = _open_limits(cuts_h), _open_limits(cuts_k)
     a, b = lim_h[:, :-1, None], lim_h[:, 1:, None]
     c, d = lim_k[:, None, :-1], lim_k[:, None, 1:]
     s = np.sqrt(2.0 * (1.0 - RHO_BOUND))
@@ -416,13 +504,16 @@ def polychoric_pair(
 ) -> PairResult:
     """Maximize the table loglikelihood over the correlation alone.
 
-    Safeguarded Newton steps start at the table's index correlation and
-    stop at the first step below 1e-8 inside [-0.999, 0.999]. A bound the
-    search still reaches is checked only when a closed-form ceiling on its
-    loglikelihood shows it might fit better, and kept when it does, so
-    perfectly concordant tables return exactly the bound. This is the
-    one-pair case of the solver ``polychoric_matrix`` runs on all pairs at
-    once.
+    Safeguarded Newton steps start at the table's first-order estimate, the
+    correlation of the two columns' normal scores (each category's mean
+    latent value) divided by the square root of the scores' variances; where
+    that is not finite or reaches |rho| 0.925 they start at the scores'
+    correlation itself, or at 0. They stop at the first step below 1e-8
+    inside [-0.999, 0.999]. A bound the search still reaches is checked
+    only when a closed-form ceiling on its loglikelihood shows it might fit
+    better, and kept when it does, so perfectly concordant tables return
+    exactly the bound. This is the one-pair case of the solver
+    ``polychoric_matrix`` runs on all pairs at once.
 
     Raises
     ------
@@ -525,21 +616,17 @@ def _count_polychoric(codes, categories, columns, epsilon, weights=None):
         h, k = pairs[p]
         return f"pair ('{columns[h]}', '{columns[k]}')"
 
-    sizes = [len(observed) for observed in categories]
+    sizes = np.array([len(observed) for observed in categories])
     offsets = np.cumsum([0, *sizes[:-1]])
-    gram = _code_gram(codes, offsets, sum(sizes), weights)
-    marginals = np.diagonal(gram).copy()
-    n, width = len(columns), max(sizes)
-    # each column's drawn cross-product rows and its cuts, padded with -1 and 0
-    thresholds, index, cuts = [], np.full((n, width), -1), np.zeros((n, width - 1))
-    for j, (name, start, observed) in enumerate(zip(columns, offsets, categories)):
-        counts = marginals[start : start + len(observed)]
-        drawn = np.flatnonzero(counts)
-        try:
-            thresholds.append(_thresholds_from_counts(counts[drawn], observed[drawn]))
-        except DataError as exc:
-            raise DataError(f"column '{name}': {exc}") from None
-        index[j, : drawn.size], cuts[j, : drawn.size - 1] = start + drawn, thresholds[j].cuts
+    gram = _code_gram(codes, offsets, int(sizes.sum()), weights)
+    n, slot = len(columns), np.arange(max(sizes))
+    # each column's marginal counts, read off the diagonal, padded with zeros
+    within = slot < sizes[:, None]
+    marginals = np.zeros(within.shape)
+    marginals[within] = np.diagonal(gram)
+    thresholds, position, cuts = _thresholds_from_counts(marginals, categories, columns)
+    # each column's drawn cross-product rows, padded with -1
+    index = np.where(position >= 0, offsets[:, None] + position, -1)
 
     pairs = np.column_stack(np.triu_indices(n, 1))
     values = np.eye(n)

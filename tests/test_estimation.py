@@ -158,6 +158,10 @@ class TestReliability:
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.9155801825493126, abs=1e-10)
 
+    def test_rho_takes_a_loading_rounded_past_one_as_one(self):
+        assert dillon_goldstein_rho([1.0 + 2.0**-52, 0.5]) == dillon_goldstein_rho([1.0, 0.5])
+        assert dillon_goldstein_rho([-1.0 - 2.0**-52, -0.5]) == dillon_goldstein_rho([-1.0, -0.5])
+
     def test_rho_needs_two_items(self):
         with pytest.raises(EstimationError):
             dillon_goldstein_rho([0.9])
@@ -167,7 +171,8 @@ class TestReliability:
         ([np.inf, 0.5], "finite"),
         ([1.0, -1.0], "total is 0"),
         ([1.2, 0.5], r"loadings must lie in \[-1, 1\]"),
-    ], ids=["nan", "inf", "zero-total", "beyond-one"])
+        ([1.001, 0.5], r"loadings must lie in \[-1, 1\]"),
+    ], ids=["nan", "inf", "zero-total", "beyond-one", "beyond-rounding"])
     def test_rho_rejects_degenerate_loadings(self, lams, message):
         with pytest.raises(EstimationError, match=message):
             dillon_goldstein_rho(lams)
@@ -391,6 +396,14 @@ def loop_bootstrap(data, model, mode, n_boot, seed, epsilon=0.5):
     return names, b.std(axis=0, ddof=1), p, len(draws), failed
 
 
+# Positive definite two-block matrices whose weights put a block on one indicator,
+# whose loading rounds to 1 + 2**-52.
+ROUNDED_LOADINGS = [
+    np.array([[1.0, -0.4, -0.1, 0.0], [-0.4, 1.0, 0.0, 0.4], [-0.1, 0.0, 1.0, -0.3], [0.0, 0.4, -0.3, 1.0]]),
+    np.array([[1.0, 0.8, 0.0, 0.4], [0.8, 1.0, -0.5, 0.0], [0.0, -0.5, 1.0, 0.4], [0.4, 0.0, 0.4, 1.0]]),
+]
+
+
 def two_block_stack():
     """A two-block model and three correlation matrices for it: ``linked``, ``unlinked``
     (no correlation across blocks, so the first weight update is singular) and ``other``."""
@@ -545,16 +558,14 @@ class TestCountWeightedBootstrap:
     @pytest.mark.parametrize("max_iter, kinds", [
         # linked needs 5 iterations, other 1 and rounded 14; unlinked is singular
         (4, [ConvergenceError, ConvergenceError, None, ConvergenceError]),
-        (pls.DEFAULT_MAX_ITER, [None, ConvergenceError, None, EstimationError]),
+        (pls.DEFAULT_MAX_ITER, [None, ConvergenceError, None, None]),
     ])
     def test_member_errors_match_single_fits(self, max_iter, kinds):
         model, *sigmas = two_block_stack()
-        # positive definite, but its weights put a block on one indicator, whose
-        # loading rounds to 1 + 2**-52
-        rounded = np.array([[1.0, -0.4, -0.1, 0.0], [-0.4, 1.0, 0.0, 0.4],
-                            [-0.1, 0.0, 1.0, -0.3], [0.0, 0.4, -0.3, 1.0]])
-        sigmas.append(rounded)
-        *_, errors = estimation._fit_members(np.stack(sigmas), model, pls.DEFAULT_TOL, max_iter)
+        sigmas.append(ROUNDED_LOADINGS[0])
+        *_, loadings, errors = estimation._fit_members(
+            np.stack(sigmas), model, pls.DEFAULT_TOL, max_iter
+        )
         assert [None if error is None else type(error) for error in errors] == kinds
         for sigma, error in zip(sigmas, errors):
             try:
@@ -568,7 +579,31 @@ class TestCountWeightedBootstrap:
             assert str(errors[0]).startswith("matrix PLS did not converge in 4 iterations")
             assert errors[0].trace.iterations == 4
         else:
-            assert str(errors[3]) == "loadings must lie in [-1, 1]"
+            # the loading that rounds to 1 + 2**-52 is accepted as 1
+            assert np.abs(loadings[3]).max() == 1.0
+
+    @pytest.mark.parametrize("sigma", ROUNDED_LOADINGS, ids=["first", "second"])
+    def test_loading_rounded_past_one_fits_as_one(self, sigma):
+        model, *_ = two_block_stack()
+        fit = pls._fit_stack(sigma[None], model, tol=pls.DEFAULT_TOL, max_iter=pls.DEFAULT_MAX_ITER)
+        raw = estimation.outer_loadings(sigma @ fit.standardized[0], model)
+        assert raw.max() == 1.0 + 2.0**-52
+        result = fit_correlation_model(sigma, model)
+        assert np.array_equal(result.loadings, np.minimum(raw, 1.0))
+        for j, rel in enumerate(result.reliability):
+            block = result.loadings[model.block_slice(j)]
+            assert rel.dillon_goldstein == dillon_goldstein_rho(block)
+
+    def test_loading_beyond_rounding_fails(self):
+        # not positive definite, so a loading can pass 1 by far more than rounding
+        model, linked, *_ = two_block_stack()
+        sigma = linked.copy()
+        sigma[0, 1] = sigma[1, 0] = 1.5
+        *_, loadings, errors = estimation._fit_members(
+            sigma[None], model, pls.DEFAULT_TOL, pls.DEFAULT_MAX_ITER
+        )
+        assert str(errors[0]) == "loadings must lie in [-1, 1]"
+        assert np.abs(loadings).max() == 1.0
 
     def test_failed_members_make_no_single_fit(self, rng, request):
         model = chain_model()
