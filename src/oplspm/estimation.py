@@ -33,7 +33,6 @@ __all__ = [
     "InnerEquation",
     "BlockReliability",
     "FitResult",
-    "inner_coefficients",
     "outer_loadings",
     "cronbach_alpha_ordinal",
     "dillon_goldstein_rho",
@@ -161,18 +160,6 @@ def _inner_equations(model: PathModel, coefficients, r_squared) -> list[InnerEqu
     ]
 
 
-def inner_coefficients(p_yy: np.ndarray, model: PathModel) -> list[InnerEquation]:
-    """Solve every structural equation from the latent correlation matrix.
-
-    This is ``_structural_solve`` on a stack of one matrix.
-    """
-    p_yy = np.asarray(p_yy, dtype=float)[None]
-    coefficients, r_squared, singular = _structural_solve(p_yy, _structural_equations(model))
-    if singular[0] >= 0:
-        raise _inner_error(model, singular[0])
-    return _inner_equations(model, coefficients[0], r_squared[0])
-
-
 def outer_loadings(sigma_xy: np.ndarray, model: PathModel) -> np.ndarray:
     """Loading of each indicator on its own composite.
 
@@ -285,8 +272,10 @@ class BootstrapResult:
     n_failed: int
 
 
-# Bootstrap replicates or simulation replications fitted as one stack. It
-# bounds a block's working memory; the results do not depend on it.
+# Bootstrap replicates, or simulation replications, fitted as one stack: a
+# study block's stack holds up to 2 x 32 members, each replication's Pearson
+# and polychoric matrices. It bounds a block's working memory; the results do
+# not depend on it.
 _STACK_BLOCK = 32
 
 

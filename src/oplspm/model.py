@@ -66,10 +66,6 @@ class PathModel:
     blocks: tuple[tuple[str, ...], ...]
 
     @property
-    def endogenous_count(self) -> int:
-        return len(self.latent_names) - self.exogenous_count
-
-    @property
     def n_latents(self) -> int:
         return len(self.latent_names)
 

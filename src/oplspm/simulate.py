@@ -317,63 +317,58 @@ class BiasReport:
         return rows
 
 
-def _fit_route(sigmas: dict, model: PathModel, errors: dict) -> dict:
-    """Fit ``sigmas`` (replication -> matrix) as one stack: replication -> (inner
-    coefficients, loadings, raw weights) of each member that succeeds. The text
-    of any other's error goes into ``errors``: the input check's for a matrix
-    that is not positive definite, else the one ``_fit_members`` gives it."""
-    checked = {}
-    for rep, sigma in sigmas.items():
-        try:
-            checked[rep] = _as_sigma_values(sigma, model)
-        except OplsError as exc:
-            errors[rep] = str(exc)
-    k = model.n_indicators
-    stack = np.array(list(checked.values())).reshape(-1, k, k)
-    fit, coefficients, _, loadings, failed = _fit_members(
-        stack, model, DEFAULT_TOL, DEFAULT_MAX_ITER
-    )
-    weights = fit.raw[:, np.arange(k), model.indicator_latents]
-    errors.update((rep, str(error)) for rep, error in zip(checked, failed) if error is not None)
-    return {
-        rep: (coefficients[i], loadings[i], weights[i])
-        for i, rep in enumerate(checked)
-        if failed[i] is None
-    }
-
-
 def run_study(config: SimulationConfig) -> BiasReport:
     """Run the full replication loop for one (law, npoints) cell.
 
     Replications draw from independent substreams seeded by
     (config.seed, replication index), so results do not depend on
     execution order and are reproducible bit for bit. A block of
-    ``estimation._STACK_BLOCK`` replications fits its Pearson, then its
-    polychoric, matrices as one stack each (``estimation._fit_members``).
+    ``estimation._STACK_BLOCK`` replications fits its Pearson and its
+    polychoric matrices as one stack (``estimation._fit_members``); a
+    member's results do not depend on the others in its stack.
     Replications whose fit fails or whose polychoric matrix is not
-    positive definite are excluded and reported with the reason, never
-    silently dropped; a failed fit's reason is the error that stack gives
-    the member, the text ``fit_correlation_model`` raises on that matrix
-    alone, and no member is fitted twice.
+    positive definite are excluded and reported with one reason, never
+    silently dropped. The reason is a failed Pearson fit if there is one,
+    else the error raised building the data or the polychoric matrix,
+    else the failed polychoric fit. A failed fit's reason is the error
+    the stack gives the member, the text ``fit_correlation_model`` raises
+    on that matrix alone; a Pearson matrix that is not positive definite
+    fails its fit with the text of that check.
     """
     model = simulation_model()
+    k = model.n_indicators
     kept, failures = [], []
     for reps in _blocks(config.replications):
-        pearson, polychoric, errors = {}, {}, {}
+        # keyed by (replication, "pls" | "opls"); errors also by (replication, "data")
+        sigmas, errors = {}, {}
         for rep in reps:
             try:
                 data, _ = generate_dataset(config, np.random.default_rng([config.seed, rep]))
-                pearson[rep] = pearson_matrix(data)
-                polychoric[rep], _ = polychoric_matrix(data, epsilon=config.epsilon)
-                if polychoric[rep].pd_status == "failed":
-                    eig = polychoric.pop(rep).min_eigenvalue()
+                pearson = pearson_matrix(data)
+                try:
+                    sigmas[rep, "pls"] = _as_sigma_values(pearson, model)
+                except OplsError as exc:
+                    errors[rep, "pls"] = str(exc)
+                polychoric, _ = polychoric_matrix(data, epsilon=config.epsilon)
+                if polychoric.pd_status == "failed":
+                    eig = polychoric.min_eigenvalue()
                     raise DataError(f"polychoric matrix not positive definite (smallest eigenvalue {eig:.3g})")
+                sigmas[rep, "opls"] = polychoric.values
             except OplsError as exc:
-                errors[rep] = str(exc)
-        fitted_pls = _fit_route(pearson, model, errors)  # a failed fit outranks its polychoric error
-        fitted_opls = _fit_route({r: polychoric[r] for r in fitted_pls if r in polychoric}, model, errors)
-        failures += [{"replication": rep, "error": errors[rep]} for rep in reps if rep in errors]
-        kept += [(*fitted_pls[rep], *fitted_opls[rep]) for rep in reps if rep not in errors]
+                errors[rep, "data"] = str(exc)
+        stack = np.array(list(sigmas.values())).reshape(-1, k, k)
+        fit, coefficients, _, loadings, failed = _fit_members(
+            stack, model, DEFAULT_TOL, DEFAULT_MAX_ITER
+        )
+        weights = fit.raw[:, np.arange(k), model.indicator_latents]
+        errors.update((key, str(error)) for key, error in zip(sigmas, failed) if error is not None)
+        fitted = {key: (coefficients[i], loadings[i], weights[i]) for i, key in enumerate(sigmas)}
+        for rep in reps:
+            reasons = [errors[rep, stage] for stage in ("pls", "data", "opls") if (rep, stage) in errors]
+            if reasons:
+                failures.append({"replication": rep, "error": reasons[0]})
+            else:
+                kept.append((*fitted[rep, "pls"], *fitted[rep, "opls"]))
     if not kept:
         raise DataError(f"every replication failed ({len(failures)} of {config.replications}); "
                         f"replication {failures[0]['replication']}: {failures[0]['error']}")

@@ -142,7 +142,6 @@ def no_single_fits(monkeypatch):
     for module, name in (
         (estimation, "fit_correlation_model"),
         (estimation, "matrix_pls_fit"),
-        (estimation, "inner_coefficients"),
         (estimation, "dillon_goldstein_rho"),
         (pls, "matrix_pls_fit"),
         (simulate, "fit_correlation_model"),

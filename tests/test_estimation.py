@@ -11,7 +11,6 @@ from oplspm.estimation import (
     cronbach_alpha_ordinal,
     dillon_goldstein_rho,
     fit_correlation_model,
-    inner_coefficients,
     outer_loadings,
 )
 from oplspm.model import DataMatrix, build_model
@@ -35,13 +34,21 @@ def chain_model():
     )
 
 
+def solve_inner(p_yy, model):
+    """Solve every structural equation from one latent correlation matrix."""
+    equations = estimation._structural_equations(model)
+    coefficients, r_squared, singular = estimation._structural_solve(p_yy[None], equations)
+    assert singular[0] == -1
+    return estimation._inner_equations(model, coefficients[0], r_squared[0])
+
+
 class TestInnerCoefficients:
     def test_single_covariate_equals_correlation(self):
         model = build_model(
             "pair", ["a"], ["b"], {"a": ["a1"], "b": ["b1"]}, [("a", "b")]
         )
         p = np.array([[1.0, 0.37], [0.37, 1.0]])
-        eqs = inner_coefficients(p, model)
+        eqs = solve_inner(p, model)
         assert len(eqs) == 1
         assert eqs[0].coefficients == pytest.approx([0.37], abs=1e-15)
         assert eqs[0].r_squared == pytest.approx(0.37**2, abs=1e-15)
@@ -55,7 +62,7 @@ class TestInnerCoefficients:
             [("a", "c"), ("b", "c")],
         )
         p = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.6], [0.5, 0.6, 1.0]])
-        eqs = inner_coefficients(p, model)
+        eqs = solve_inner(p, model)
         assert eqs[0].coefficients == pytest.approx([0.5, 0.6], abs=1e-15)
 
     def test_matches_ols_on_scores(self, rng):
@@ -63,7 +70,7 @@ class TestInnerCoefficients:
         data = factor_dataset(model, rng)
         fit = score_based_pls_fit(data, model)
         p_yy = fit.weights.standardized.T @ pearson_matrix(data).values @ fit.weights.standardized
-        eqs = inner_coefficients(p_yy, model)
+        eqs = solve_inner(p_yy, model)
         idx = {name: i for i, name in enumerate(model.latent_names)}
         for eq in eqs:
             x = fit.scores[:, [idx[c] for c in eq.covariates]]
@@ -82,8 +89,11 @@ class TestInnerCoefficients:
             [("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")],
         )
         p = np.ones((4, 4))
-        with pytest.raises(EstimationError, match="singular inner system for equation 'c'"):
-            inner_coefficients(p, model)
+        equations = estimation._structural_equations(model)
+        *_, singular = estimation._structural_solve(p[None], equations)
+        error = estimation._inner_error(model, singular[0])
+        assert isinstance(error, EstimationError)
+        assert str(error) == "singular inner system for equation 'c'"
 
 
 class TestOuterLoadings:

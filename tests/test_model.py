@@ -19,7 +19,7 @@ class TestParseModel:
     def test_ecsi_structure(self):
         model = parse_model(ECSI_MODEL)
         assert model.exogenous_count == 1
-        assert model.endogenous_count == 6
+        assert model.n_latents - model.exogenous_count == 6
         assert model.n_indicators == 24
         assert model.block_sizes == (5, 3, 7, 2, 3, 1, 3)
         assert int(model.inner_adjacency.sum()) == 12

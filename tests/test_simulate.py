@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +55,7 @@ class TestModelAndVariances:
     def test_structure(self):
         model = simulation_model()
         assert model.exogenous_count == 3
-        assert model.endogenous_count == 3
+        assert model.n_latents - model.exogenous_count == 3
         assert model.block_sizes == (3,) * 6
         assert int(model.inner_adjacency.sum()) == 5
         for param, (target, source) in PARAMETER_PATHS.items():
@@ -266,24 +270,46 @@ class TestStackedStudy:
     def test_iteration_cap_of_one_gives_the_per_replication_text(self, monkeypatch):
         config = SimulationConfig(latent_law="normal", npoints=5, replications=3, seed=4)
         _, failures = reference_study(config, max_iter=1)
-        assert len(failures) == 3
+        assert [f["replication"] for f in failures] == [0, 1, 2]
         texts = [f["error"] for f in failures]
         for text in texts:
             assert re.fullmatch(
                 r"matrix PLS did not converge in 1 iterations \(last delta \d\.\d{3}e[+-]\d+\)", text
             )
         monkeypatch.setattr(simulate, "DEFAULT_MAX_ITER", 1)
-        # every Pearson fit fails, so the whole stack's texts are its route's
-        sigmas = {}
-        for rep in range(3):
-            data, _ = generate_dataset(config, np.random.default_rng([config.seed, rep]))
-            sigmas[rep] = pearson_matrix(data)
-        errors = {}
-        assert simulate._fit_route(sigmas, simulation_model(), errors) == {}
-        assert [errors[rep] for rep in range(3)] == texts
-        with pytest.raises(DataError) as info:
-            run_study(config)
-        assert str(info.value) == f"every replication failed (3 of 3); replication 0: {texts[0]}"
+        # Every fit fails. Run from each replication in turn: the error names the
+        # first replication of the block, and its reason is its Pearson fit's text.
+        for first in range(3):
+            monkeypatch.setattr(simulate, "_blocks", lambda n, first=first: [range(first, n)])
+            with pytest.raises(DataError) as info:
+                run_study(config)
+            assert str(info.value) == (
+                f"every replication failed ({3 - first} of 3); replication {first}: {texts[first]}"
+            )
+
+    def test_one_stack_per_block_holds_both_routes(self, monkeypatch):
+        # Replications 0 and 22 have polychoric matrices that are not positive definite.
+        config = SimulationConfig(latent_law="beta", npoints=4, replications=40, seed=127)
+        stacks = []
+
+        def counting(sigma, *args):
+            stacks.append(sigma.copy())
+            return estimation._fit_members(sigma, *args)
+
+        monkeypatch.setattr(simulate, "_fit_members", counting)
+        report = run_study(config)
+        assert [f["replication"] for f in report.failures] == [0, 22]
+        assert len(stacks) == 2  # blocks of 32 and 8
+        for stack, reps in zip(stacks, [range(32), range(32, 40)]):
+            expected = []
+            for rep in reps:
+                data, _ = generate_dataset(config, np.random.default_rng([config.seed, rep]))
+                expected.append(pearson_matrix(data).values)
+                sigma, _ = polychoric_matrix(data, epsilon=config.epsilon)
+                if sigma.pd_status != "failed":
+                    expected.append(sigma.values)
+            assert len(stack) == len(expected)
+            assert sorted(m.tobytes() for m in stack) == sorted(m.tobytes() for m in expected)
 
     def test_failures_are_read_off_the_stack(self, monkeypatch, request):
         # At 5 iterations normal/4 seed 1 has failed members in both stacks:
@@ -320,3 +346,38 @@ class TestStackedStudy:
             "error": "correlation matrix is not positive definite; re-run with PD repair enabled",
         }]
         assert report.n_used == 1
+
+
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from oplspm.estimation import bootstrap_inner
+from oplspm.simulate import SimulationConfig, generate_dataset, run_study, simulation_model
+
+digest = hashlib.sha256()
+for law, npoints in (("normal", 4), ("beta", 9)):
+    report = run_study(SimulationConfig(latent_law=law, npoints=npoints, replications=24, seed=5))
+    for name in ("bias_pls", "bias_opls", "loadings_pls", "loadings_opls", "weights_pls", "weights_opls"):
+        digest.update(getattr(report, name).tobytes())
+    digest.update(repr(report.failures).encode())
+config = SimulationConfig(npoints=5, replications=1, seed=9)
+data, _ = generate_dataset(config, np.random.default_rng([config.seed, 0]))
+boot = bootstrap_inner(data, simulation_model(), mode="opls", n_boot=4, seed=3)
+digest.update(boot.standard_errors.tobytes() + boot.p_values.tobytes())
+digest.update(repr((boot.n_effective, boot.n_failed)).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
