@@ -389,7 +389,10 @@ def bootstrap_inner(
     ``fit_correlation_model`` share. A replicate fails alone, and is
     counted in ``n_failed``, when a column is constant in it, its Pearson
     moments overflow, its polychoric estimation raises, its matrix is not
-    positive definite, or ``_fit_members`` gives it an error: its PLS
+    positive definite (the rule of ``CorrelationMatrix.build``, screened
+    over the block with one stacked Cholesky factorization of Sigma -
+    1e-10 * I, member by member only if some member has none), or
+    ``_fit_members`` gives it an error: its PLS
     update is singular or does not converge, an inner system is singular,
     or a loading in a block of at least 2 indicators lies beyond +/-1. A
     standard error needs two replicates: ``n_boot`` below 2, or fewer than

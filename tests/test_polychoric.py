@@ -336,6 +336,14 @@ class TestThresholds:
         with pytest.raises(DataError, match=message):
             ThresholdSet(cuts=np.array(cuts), categories=categories)
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+    def test_threshold_set_rejects_a_non_finite_cut_anywhere(self, position, bad):
+        cuts = np.array([-1.0, 0.0, 1.0])
+        cuts[position] = bad
+        with pytest.raises(DataError, match="finite and strictly increasing"):
+            ThresholdSet(cuts=cuts, categories=(1, 2, 3, 4))
+
     def test_single_category_error(self):
         with pytest.raises(DataError, match="single observed category"):
             estimate_thresholds(np.ones(10, dtype=int))
@@ -1064,3 +1072,70 @@ class TestNearestPdRepair:
         fixed = CorrelationMatrix.build(bad, "polychoric", repair=True)
         assert fixed.pd_status == "repaired"
         assert fixed.min_eigenvalue() >= 1e-8 - 1e-12
+
+
+def spectrum_stack(rng, k, count, smallest):
+    """``count`` matrices Q diag(lambda) Q^T of random orthogonal Q whose smallest eigenvalue is
+    ``smallest``; the other K - 1 lie in [0.1, 2]."""
+    q, _ = np.linalg.qr(rng.normal(size=(count, k, k)))
+    lam = rng.uniform(0.1, 2.0, size=(count, k))
+    lam[np.arange(count), rng.integers(0, k, size=count)] = smallest
+    m = (q * lam[:, None, :]) @ q.swapaxes(-1, -2)
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+class TestPositiveDefinite:
+    SMALLEST = (1e-10 * (1 - 1e-3), 1e-10 * (1 + 1e-3), 0.0, -1e-3, 1e-8)
+
+    @pytest.mark.parametrize("k", [4, 18, 24])
+    def test_agrees_with_the_eigenvalue_rule(self, k):
+        rng = np.random.default_rng(k)
+        stack = np.concatenate([spectrum_stack(rng, k, 200, s) for s in self.SMALLEST])
+        rule = np.linalg.eigvalsh(stack).min(axis=-1) > 1e-10
+        alone = np.array([polychoric._positive_definite(m) for m in stack])
+        assert np.array_equal(alone, rule)
+        assert np.array_equal(polychoric._positive_definite(stack), rule)
+        # each smallest eigenvalue is 1e-3 of the tolerance or more from it, so the
+        # rule itself reads the design: pass above 1e-10, fail at or below
+        assert np.array_equal(rule, np.repeat(np.array(self.SMALLEST) > 1e-10, 200))
+
+    def test_each_member_of_a_mixed_stack_as_alone(self, rng):
+        k = 6
+        members = [spectrum_stack(rng, k, 1, s)[0] for s in (0.3, -0.2, 5e-11, 0.05, 1e-9, -1.0)]
+        stack = np.array([*members, 1.5 * np.eye(k) - 0.5, np.eye(k)])
+        mixed = polychoric._positive_definite(stack)
+        assert mixed.tolist() == [True, False, False, True, True, False, False, True]
+        for m, result in zip(stack, mixed):
+            assert polychoric._positive_definite(m) == result
+            assert polychoric._positive_definite(m[None]).tolist() == [result]
+        grid = polychoric._positive_definite(stack.reshape(2, 4, k, k))
+        assert np.array_equal(grid, mixed.reshape(2, 4))
+
+    def test_factors_each_member_only_after_a_stacked_failure(self, rng, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(polychoric.np.linalg, "cholesky", counting)
+        good = spectrum_stack(rng, 5, 3, 0.2)
+        bad = spectrum_stack(rng, 5, 1, -0.2)
+        assert polychoric._positive_definite(good).tolist() == [True] * 3
+        assert calls == [(3, 5, 5)]
+        calls.clear()
+        assert polychoric._positive_definite(bad).tolist() == [False]
+        assert calls == [(1, 5, 5)]  # a stack of one is decided by its one failure
+        calls.clear()
+        assert polychoric._positive_definite(np.concatenate([good, bad])).tolist() == [
+            True, True, True, False
+        ]
+        assert calls == [(4, 5, 5)] + [(5, 5)] * 4
+
+    def test_two_dimensional_input_gives_one_boolean(self):
+        for a, expected in ((np.eye(3), True), (np.array([[1.0, 1.2], [1.2, 1.0]]), False)):
+            result = polychoric._positive_definite(a)
+            assert isinstance(result, np.bool_)
+            assert result == expected
+        assert polychoric._positive_definite(np.empty((0, 4, 4))).shape == (0,)
