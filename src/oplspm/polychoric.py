@@ -28,7 +28,7 @@ from .distributions import (
     std_normal_quantile,
 )
 from .errors import ConvergenceError, DataError
-from .model import DataMatrix
+from .model import DataMatrix, _as_codes, _code_columns, _compact_codes
 
 __all__ = [
     "RHO_BOUND",
@@ -63,10 +63,6 @@ _CEILING_MARGIN = 1e-12
 _CEILING_SLACK = 1e-10
 # Bytes of one row chunk of the one-hot code matrix in the count pass.
 _CHUNK_BYTES = 1 << 23
-# Codes up to this, or up to the row count if larger, are mapped through tables indexed
-# by code; a column with a larger code is mapped by sorting. Sorting every column instead
-# made predict-scores on a 100 000 x 24 survey about 12% slower.
-_DENSE_CODES = 1 << 16
 # nearest_pd_repair's eigenvalue floor and its cap on clip-and-renormalize passes.
 _REPAIR_MIN_EIGENVALUE = 1e-8
 _REPAIR_MAX_ITER = 200
@@ -124,24 +120,21 @@ class ThresholdSet:
         return np.concatenate([[-THRESHOLD_BOUND], self.cuts, [THRESHOLD_BOUND]])
 
     def map_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Translate original codes to contiguous internal codes 1..I_k."""
-        codes = np.asarray(codes).astype(int, copy=False)
-        top = self.categories[-1]
-        if top > max(codes.size, _DENSE_CODES):
-            # A lookup table as long as the largest code would dwarf the data: search instead.
-            known = np.array(self.categories)
-            mapped = np.searchsorted(known, codes) + 1
-            bad = known[np.minimum(mapped, len(known)) - 1] != codes
-        else:
-            lut = np.zeros(top + 1, dtype=int)  # 0 marks a code that was not seen
-            lut[list(self.categories)] = np.arange(1, self.category_count + 1)
-            inside = np.clip(codes, 0, top)
-            mapped = lut[inside]
-            bad = (mapped == 0) | (inside != codes)
-        if bad.any():
-            code = int(codes[np.argmax(bad)])
+        """Translate original codes to contiguous internal codes 1..I_k.
+
+        Raises ``DataError`` naming the first value that is not one of
+        ``categories``: "category code 0 was not seen at threshold
+        estimation". A value that breaks the code rule (not an integer
+        >= 1 below 2**53, such as 1.5 or NaN) is never one of them.
+        """
+        shape, values = np.shape(codes), np.ravel(codes)
+        valid = _code_columns(values[None])
+        codes = (values if valid.all() else np.where(valid, values, 0)).astype(int, copy=False)
+        _, mapped = _compact_codes(codes, np.array(self.categories))
+        if not mapped.all():
+            code = values[np.argmin(mapped)].item()  # a Python number, printed as given
             raise DataError(f"category code {code} was not seen at threshold estimation")
-        return mapped
+        return mapped.astype(int).reshape(shape)
 
 
 def _check_epsilon(epsilon, where=""):
@@ -156,6 +149,8 @@ class ContingencyTable:
     ``epsilon`` replaces zero counts only; observed counts are never
     altered. ``epsilon=0`` disables the substitution entirely, in which
     case empty cells simply contribute nothing to the pair likelihood.
+    Construction raises ``DataError`` unless the table is 2-D and its
+    counts are nonnegative integers with a finite total.
     """
 
     counts: np.ndarray
@@ -167,6 +162,9 @@ class ContingencyTable:
             raise DataError("contingency table must be 2-D")
         if np.any(counts < 0) or np.any(counts != np.round(counts)):
             raise DataError("contingency table counts must be nonnegative integers")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(counts.sum()):
+                raise DataError("contingency table counts and their total must be finite")
         _check_epsilon(self.epsilon)
         object.__setattr__(self, "counts", counts)
 
@@ -238,16 +236,15 @@ def estimate_thresholds(column) -> ThresholdSet:
     Raises
     ------
     DataError
-        On an empty column, invalid codes, or a single observed category.
+        On a column that is not 1-D, an empty column, a value that breaks
+        the code rule (an integer >= 1 below 2**53), with ``DataMatrix``'s
+        messages, or a single observed category.
     """
-    column = np.asarray(column)
-    if column.size == 0:
+    codes = _as_codes(column, "ordinal column")
+    if codes.size == 0:
         raise DataError("cannot estimate thresholds from an empty column")
-    codes = column.astype(float)
-    if np.any(codes != np.round(codes)) or np.any(codes < 1):
-        raise DataError("ordinal codes must be integers >= 1")
-    observed, counts = np.unique(codes.astype(int), return_counts=True)
-    return _thresholds_from_counts(counts[None], [observed])[0][0]
+    observed, compact = _compact_codes(codes)
+    return _thresholds_from_counts(np.bincount(compact)[None, 1:], [observed])[0][0]
 
 
 def _thresholds_from_counts(counts, categories, columns=None):
@@ -561,10 +558,17 @@ def polychoric_pair(
 
 
 def crosstab(codes_h: np.ndarray, codes_k: np.ndarray, n_h: int, n_k: int) -> np.ndarray:
-    """Count table of two contiguous 1-based code vectors."""
-    codes_h, codes_k = np.asarray(codes_h), np.asarray(codes_k)
+    """Count table of two contiguous 1-based code vectors.
+
+    Raises ``DataError`` unless both are 1-D vectors of one length whose
+    values follow the code rule (integers >= 1 below 2**53, with
+    ``DataMatrix``'s messages) and lie in 1..n_h and 1..n_k.
+    """
+    codes_h, codes_k = _as_codes(codes_h, "codes_h"), _as_codes(codes_k, "codes_k")
+    if codes_h.size != codes_k.size:
+        raise DataError(f"code vectors differ in length: {codes_h.size} and {codes_k.size}")
     for codes, n in ((codes_h, n_h), (codes_k, n_k)):
-        if codes.size and (codes.min() < 1 or codes.max() > n):
+        if codes.size and codes.max() > n:
             raise DataError(f"codes must lie in 1..{n}")
     cells = (codes_h - 1) * n_k + (codes_k - 1)
     return np.bincount(cells, minlength=n_h * n_k).reshape(n_h, n_k).astype(float)
@@ -681,19 +685,8 @@ def _ordinal_codes(data: DataMatrix):
     """Each column's observed codes, ascending, and the N x K matrix of its compact codes 1..I_k."""
     if not data.all_ordinal:
         raise DataError("polychoric correlations require all columns to be ordinal")
-    # A table indexed by code would dwarf the data in a column whose codes reach far above
-    # the row count: that column's codes are sorted instead, None standing for its table.
-    sparse = data.values.max(axis=0) > max(data.n_rows, _DENSE_CODES)
-    seen = [None if sparse[j] else np.bincount(data.codes(j)) > 0 for j in range(data.n_cols)]
-    categories = [
-        np.unique(data.codes(j)) if s is None else np.flatnonzero(s) for j, s in enumerate(seen)
-    ]
-    most = max((len(c) for c in categories), default=1)
-    codes = np.empty(data.values.shape, dtype=np.min_scalar_type(most))
-    for j, s in enumerate(seen):
-        col = data.codes(j)
-        codes[:, j] = np.searchsorted(categories[j], col) + 1 if s is None else np.cumsum(s)[col]
-    return categories, codes
+    categories, ranks = zip(*(_compact_codes(data.codes(j)) for j in range(data.n_cols)))
+    return list(categories), np.column_stack(ranks)
 
 
 def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = False):

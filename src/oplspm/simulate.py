@@ -25,7 +25,7 @@ from .errors import DataError, OplsError
 from .estimation import _blocks, _fit_members
 # fit_correlation_model is no longer called here, but bench/spans.py hooks it here.
 from .estimation import fit_correlation_model  # noqa: F401
-from .model import DataMatrix, PathModel, build_model
+from .model import ORDINAL, DataMatrix, PathModel, build_model
 from .pls import DEFAULT_MAX_ITER, DEFAULT_TOL, _as_sigma_values
 from .polychoric import _check_epsilon, pearson_matrix, polychoric_matrix
 
@@ -93,6 +93,9 @@ def simulation_model() -> PathModel:
     )
 
 
+_INDICATORS = simulation_model().indicator_names
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Study settings; defaults reproduce one full-size table cell.
@@ -100,7 +103,9 @@ class SimulationConfig:
     ``epsilon`` defaults to 0 here (no zero-cell substitution): unused
     categories are collapsed away before the pair likelihoods, and
     substituting mass into genuinely empty cells measurably attenuates the
-    high polychoric correlations this study depends on.
+    high polychoric correlations this study depends on. Construction
+    raises ``DataError`` unless ``replications``, ``sample_size`` and
+    ``seed`` are integers, at least 1, 3 and 0.
     """
 
     latent_law: str = "normal"  # "normal" | "beta"
@@ -115,6 +120,11 @@ class SimulationConfig:
             raise DataError(f"unknown latent law '{self.latent_law}'")
         if self.npoints not in (4, 5, 7, 9):
             raise DataError("npoints must be one of 4, 5, 7, 9")
+        for name in ("replications", "sample_size", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
             raise DataError("need at least one replication")
         if self.sample_size < 3:
@@ -167,18 +177,13 @@ def generate_dataset(config: SimulationConfig, rng) -> tuple[DataMatrix, np.ndar
     A zero-range indicator triggers a fresh draw from the same stream
     (still deterministic given the seed).
     """
-    model = simulation_model()
     for _ in range(100):
         indicators, latents = _draw_once(config, rng)
         try:
             codes = rescale_to_points(indicators, config.npoints)
         except DataError:
             continue
-        data = DataMatrix(
-            values=codes,
-            columns=model.indicator_names,
-            kinds=tuple(["ordinal"] * 18),
-        )
+        data = DataMatrix(values=codes, columns=_INDICATORS, kinds=(ORDINAL,) * len(_INDICATORS))
         return data, latents
     raise DataError("could not generate a non-degenerate sample in 100 attempts")
 

@@ -13,6 +13,7 @@ from conftest import ECSI_MODEL, random_recursive_model
 from oplspm import model as model_module
 from oplspm.errors import DataError, ModelError
 from oplspm.model import DataMatrix, load_csv, load_data, parse_model, serialize_model
+from oplspm.polychoric import ThresholdSet, crosstab, estimate_thresholds
 
 
 class TestParseModel:
@@ -265,6 +266,79 @@ class TestLoadData:
         data = load_csv(io.StringIO("a,b\n1,2\n2,3\n3,1\n"), kinds="ordinal")
         assert data.all_ordinal
         assert data.n_rows == 3
+
+
+BAD_CODES = {"zero": 0.0, "negative": -1.0, "fraction": 1.5, "nan": float("nan"),
+             "two_to_the_53": 2.0**53, "beyond_int64": 1e19}
+_THRESHOLDS = ThresholdSet(cuts=np.array([0.0]), categories=(1, 2))
+CODE_ENTRY_POINTS = {
+    "DataMatrix": lambda col: DataMatrix(
+        np.column_stack([np.ones(col.size), col]), ("a", "b"), ("ordinal", "ordinal")
+    ),
+    "estimate_thresholds": estimate_thresholds,
+    "map_codes": _THRESHOLDS.map_codes,
+    "crosstab": lambda col: crosstab(col, np.ones(col.size), 2, 1),
+}
+
+
+class TestCodeRule:
+    """One rule for category codes: an integer >= 1 below 2**53, at every entry point."""
+
+    @pytest.mark.parametrize("bad", BAD_CODES.values(), ids=BAD_CODES)
+    @pytest.mark.parametrize("entry", [*CODE_ENTRY_POINTS, "load_csv"])
+    def test_every_entry_point_rejects_a_non_code(self, entry, bad):
+        column = np.array([1.0, 2.0, bad, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if entry == "load_csv":
+                text = "a,b\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(column.tolist(), 1))
+                if np.isnan(bad):
+                    with pytest.raises(DataError, match="non-finite"):
+                        load_csv(io.StringIO(text))
+                else:
+                    assert load_csv(io.StringIO(text)).kinds == ("ordinal", "interval")
+                return
+            # DataMatrix rejects a NaN anywhere before it applies the rule
+            message = "was not seen" if entry == "map_codes" else "codes >= 1|below 2|non-finite"
+            with pytest.raises(DataError, match=message):
+                CODE_ENTRY_POINTS[entry](column)
+
+    def test_library_entry_points_give_the_data_matrix_messages(self):
+        for bad, message in ((1.5, "must hold integer codes >= 1"),
+                             (2.0**53, "holds code 9.0072e+15; codes must be below 2**53")):
+            column = np.array([1.0, 2.0, bad])
+            with pytest.raises(DataError) as info:
+                estimate_thresholds(column)
+            assert str(info.value) == f"ordinal column {message}"
+            with pytest.raises(DataError) as info:
+                crosstab(np.ones(3), column, 1, 2)
+            assert str(info.value) == f"codes_k {message}"
+
+    def test_map_codes_names_a_non_code(self):
+        for bad, shown in ((1.5, "1.5"), (float("nan"), "nan"), (1e19, "1e+19")):
+            with pytest.raises(DataError) as info:
+                _THRESHOLDS.map_codes(np.array([1.0, bad, 7.0]))
+            assert str(info.value) == f"category code {shown} was not seen at threshold estimation"
+
+    def test_estimate_thresholds_rejects_a_2d_array(self):
+        # one column per row or per column: it was pooled into one column
+        for shape in ((50, 2), (2, 50)):
+            with pytest.raises(DataError, match="must be 1-D"):
+                estimate_thresholds(np.arange(100).reshape(shape) % 3 + 1)
+
+    def test_first_bad_column_in_order_is_named(self):
+        values = np.array([[1.0, 1, 1.5], [2, 2, 2], [3, 3, 3]])
+        with pytest.raises(DataError, match="unknown column kind 'nominal'"):
+            DataMatrix(values, ("a", "b", "c"), ("ordinal", "nominal", "ordinal"))
+        with pytest.raises(DataError, match="ordinal column 'c' must hold"):
+            DataMatrix(values, ("a", "b", "c"), ("ordinal", "ordinal", "ordinal"))
+        values[0, 1] = 2.0**60
+        with pytest.raises(DataError, match="ordinal column 'b' holds code 1.15292e\\+18"):
+            DataMatrix(values, ("a", "b", "c"), ("ordinal", "ordinal", "ordinal"))
+        # within a column, a non-integer is named before a code above 2**53
+        values[1, 1] = 0.5
+        with pytest.raises(DataError, match="ordinal column 'b' must hold"):
+            DataMatrix(values, ("a", "b", "c"), ("ordinal", "ordinal", "interval"))
 
 
 class TestStreamedIngest:

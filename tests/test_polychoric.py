@@ -668,6 +668,17 @@ class TestCountPass:
         assert np.array_equal(table, [[0, 1], [2, 0], [0, 1]])
         with pytest.raises(DataError, match="1..2"):
             crosstab(np.array([1, 2]), np.array([1, 3]), 2, 2)
+        with pytest.raises(DataError, match="differ in length: 3 and 2"):  # a broadcast error
+            crosstab(np.array([1, 2, 1]), np.array([1, 2]), 2, 2)
+
+    @pytest.mark.parametrize(
+        "counts", [[[np.inf, 1.0], [1.0, 5.0]], [[1e308, 1e308], [1e308, 1e308]]],
+        ids=["inf", "sum"],
+    )
+    def test_contingency_table_rejects_a_non_finite_total(self, counts):
+        # polychoric_pair gave rho 0.999 with loglik -inf, and rho 0 after overflow warnings
+        with pytest.raises(DataError, match="counts and their total must be finite"):
+            ContingencyTable(np.array(counts))
 
     @pytest.mark.parametrize("code", [2, 0, -3, 6, 4])
     def test_map_codes_rejects_unseen(self, code):
@@ -682,6 +693,10 @@ class TestCountPass:
         expected = [ts.categories.index(c) + 1 for c in original]
         assert ts.map_codes(original).tolist() == expected
         assert ts.map_codes(original.astype(float)).tolist() == expected
+        # any shape, as before the codes went through the one compaction
+        grid = ts.map_codes(original.reshape(5, 10))
+        assert grid.tolist() == np.reshape(expected, (5, 10)).tolist()
+        assert ts.map_codes(original[0]) == expected[0]
 
 
     @pytest.mark.parametrize("code", [2, 0, -3, 20_000_002, 4])

@@ -44,11 +44,23 @@ class TestConfig:
             {"epsilon": -1.0},
             {"epsilon": float("nan")},
             {"epsilon": float("inf")},
+            # each failed later with an untyped TypeError or ValueError from run_study or numpy
+            {"replications": 1.5},
+            {"sample_size": 10.5},
+            {"seed": 2.0},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(DataError):
             SimulationConfig(**kw)
+
+
+    def test_numpy_integers_are_integers(self):
+        config = SimulationConfig(
+            replications=np.int64(2), sample_size=np.int32(10), seed=np.uint8(0)
+        )
+        assert (config.replications, config.sample_size, config.seed) == (2, 10, 0)
 
 
 class TestModelAndVariances:
@@ -119,6 +131,11 @@ class TestGenerateDataset:
         assert latents.shape == (100, 6)
         assert data.all_ordinal
         assert data.values.max() <= config.npoints
+
+    def test_model_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(simulate, "simulation_model", None)
+        data, _ = generate_dataset(SimulationConfig(sample_size=50), np.random.default_rng(0))
+        assert data.columns == simulation_model().indicator_names
 
     def test_beta_law_skews_left(self):
         config = SimulationConfig(latent_law="beta", sample_size=50_000, npoints=9)
