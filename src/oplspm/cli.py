@@ -5,7 +5,8 @@ Every run writes its tables as CSV (full double precision, fixed column
 order) plus a ``manifest.json`` recording the command, its arguments
 (with ``--seed`` for ``fit`` and ``simulate``, the commands that draw
 random numbers), tool version, and SHA-256 checksums of all inputs and
-outputs, so a run can be audited and reproduced bit for bit.
+outputs, so a run can be audited and reproduced bit for bit. ``fit
+--bootstrap`` also records how many replicates succeeded and failed.
 
 Each ``cmd_*`` only computes and returns its tables; ``main`` writes every
 command's outputs through one path, and only after the command succeeds.
@@ -194,6 +195,8 @@ def cmd_fit(args):
                             [[i, d] for i, d in enumerate(fit.trace.deltas, 1)]),
     }
     extra = {"mode": fit.mode, "iterations": fit.trace.iterations, "pd_status": sigma.pd_status}
+    if args.bootstrap:
+        extra.update(bootstrap_effective=boot.n_effective, bootstrap_failed=boot.n_failed)
     message = f"fit ({fit.mode}) converged in {fit.trace.iterations} iterations"
     return tables, [args.model, args.data], extra, message
 
@@ -317,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--bootstrap", type=int, default=0, metavar="N",
                        help="bootstrap replicates for inner-coefficient s.e. (extension)")
     p_fit.add_argument("--seed", type=int, default=0,
-                       help="bootstrap random seed (recorded in manifest)")
+                       help="bootstrap random seed, an integer >= 0 (recorded in manifest)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_poly = sub.add_parser("polychoric", parents=[smoothing, out],

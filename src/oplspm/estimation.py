@@ -20,6 +20,7 @@ from .pls import matrix_pls_fit  # noqa: F401
 # importable from this module: bench/selftest.py patches them here.
 from .polychoric import (  # noqa: F401
     CorrelationMatrix,
+    _check_epsilon,
     _count_polychoric,
     _data_correlations,
     _ordinal_codes,
@@ -396,14 +397,25 @@ def bootstrap_inner(
     update is singular or does not converge, an inner system is singular,
     or a loading in a block of at least 2 indicators lies beyond +/-1. A
     standard error needs two replicates: ``n_boot`` below 2, or fewer than
-    2 replicates that succeed, raise ``EstimationError``. In pls mode, a
-    column that is constant, or whose squares overflow or underflow, in the
-    data themselves raises ``DataError``.
+    2 replicates that succeed, raise ``EstimationError``. Before any
+    replicate is drawn, an ``n_boot`` or ``seed`` that is not an integer
+    (Python or numpy) or a negative ``seed`` raises ``EstimationError``,
+    and in opls mode an ``epsilon`` that is not finite and >= 0 raises
+    ``DataError``; pls mode ignores ``epsilon``. In pls mode, a column
+    that is constant, or whose squares overflow or underflow, in the data
+    themselves raises ``DataError``.
     """
+    for name, value in (("n_boot", n_boot), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)):
+            raise EstimationError(f"{name} must be an integer, got {value!r}")
     if n_boot < 2:
         raise EstimationError(f"n_boot must be at least 2, got {n_boot}")
+    if seed < 0:
+        raise EstimationError(f"seed must be >= 0, got {seed}")
     if mode not in ("pls", "opls"):
         raise EstimationError(f"unknown mode '{mode}'")
+    if mode == "opls":
+        _check_epsilon(epsilon)
     _check_limits(tol, max_iter)  # before any replicate is drawn or solved
     if data.n_cols != model.n_indicators:
         raise DataError(f"data has {data.n_cols} columns, model expects {model.n_indicators}")

@@ -48,6 +48,19 @@ _CODE_LIMIT = 2**53
 _DENSE_CODES = 1 << 16
 
 
+def _as_numbers(values, subject) -> np.ndarray:
+    """``values`` as a numeric array. Any other dtype, such as the object array numpy makes
+    of a Python int >= 2**63, is converted to float, or raises the code rule's DataError
+    naming the values ``subject``."""
+    values = np.asarray(values)
+    if values.dtype.kind in "biuf":
+        return values
+    try:
+        return values.astype(float)
+    except (TypeError, ValueError):
+        raise DataError(f"{subject} must hold integer codes >= 1") from None
+
+
 def _code_columns(values) -> np.ndarray:
     """Whether each column of N x K ``values`` (each entry of a 1 x K row) holds only codes,
     integers >= 1 below 2**53. Rows go ``_CHUNK_ROWS`` at a time: N x K temporaries raised the
@@ -61,7 +74,7 @@ def _code_columns(values) -> np.ndarray:
 
 def _as_codes(values, subject) -> np.ndarray:
     """1-D category codes as integers, or the code rule's DataError naming them ``subject``."""
-    values = np.asarray(values)
+    values = _as_numbers(values, subject)
     if values.ndim != 1:
         raise DataError(f"{subject} must be 1-D, got shape {values.shape}")
     if not _code_columns(values[:, None])[0]:

@@ -12,7 +12,11 @@ correlation matrix of an interval dataset the two engines produce the same
 weights; indicators are standardized (unit sample variance) in the
 score-based engine to match. Its iteration runs over a stack of matrices
 (``_fit_stack``), so bootstrap replicates, and simulation replications, are
-fitted together; a single fit is the stack of one.
+fitted together; a single fit is the stack of one. One pass,
+``_matrix_step``, returns only the updated raw weights and the column sums
+of the update before its normalization; the standardizing weights and
+latent correlations of the final weights come from the same
+``_standardized`` that the pass uses.
 
 Within one pass the composites are built from the weights rescaled to sum
 to one per block (the outer-approximation normalization), while the
@@ -99,38 +103,32 @@ def _check_limits(tol, max_iter):
         raise EstimationError(f"tol must be a finite positive number, got {tol}")
 
 
+def _standardized(weights, sigma):
+    """The standardizing weights of ``weights`` under ``sigma``, which give each
+    composite unit variance, and the composites' correlation matrix."""
+    scale = np.sqrt(np.diagonal(weights.swapaxes(-1, -2) @ sigma @ weights, axis1=-2, axis2=-1))
+    sw = weights / scale[..., None, :]
+    return sw, sw.swapaxes(-1, -2) @ sigma @ sw
+
+
 def _matrix_step(sigma, t_sym, chi, weights):
     """One weight update from the current raw weights.
 
     ``sigma`` and ``weights`` may carry leading stack axes (B x K x K and
     B x K x L); each member is updated on its own. Returns the updated raw
-    weights together with the intermediate quantities, so invariants can
-    be checked iteration by iteration. A member whose weight-update column
-    sum ``colsum`` is zero gets non-finite weights; the caller rejects it.
+    weights and ``colsum`` (B x L), the column sums of the update before
+    its normalization. A member with a zero ``colsum`` gets non-finite
+    weights; the caller rejects it.
     """
-    v = weights / weights.sum(axis=-2, keepdims=True)
-    scale = np.sqrt(np.diagonal(v.swapaxes(-1, -2) @ sigma @ v, axis1=-2, axis2=-1))
-    sw = v / scale[..., None, :]
-    p_yy = sw.swapaxes(-1, -2) @ sigma @ sw
+    sw, p_yy = _standardized(weights / weights.sum(axis=-2, keepdims=True), sigma)
     upsilon = t_sym * _sign0(p_yy)
     sigma_xy = sigma @ sw
-    sigma_xz = sigma_xy @ upsilon
-    c = chi * sigma_xz
+    c = chi * (sigma_xy @ upsilon)
     colsum = c.sum(axis=-2)
     orientation = _sign0(np.where(chi == 1.0, _sign0(sigma_xy), 0.0).sum(axis=-2))
     with np.errstate(divide="ignore", invalid="ignore"):
         new_weights = (c / colsum[..., None, :]) * orientation[..., None, :]
-    internals = {
-        "standardizing_weights": sw,
-        "latent_correlations": p_yy,
-        "upsilon": upsilon,
-        "sigma_xz": sigma_xz,
-        "sigma_xy": sigma_xy,
-        "c": c,
-        "colsum": colsum,
-        "orientation": orientation,
-    }
-    return new_weights, internals
+    return new_weights, colsum
 
 
 def _as_sigma_values(sigma_xx, model) -> np.ndarray:
@@ -213,9 +211,8 @@ def _fit_stack(
     active = np.arange(n)
     iterations = 0
     while active.size and iterations < max_iter:
-        new_weights, internals = _matrix_step(sigma[active], t_sym, chi, weights[active])
-        zero = internals["colsum"] == 0.0
-        del internals  # else the step's intermediates stay alive through the next step
+        new_weights, colsum = _matrix_step(sigma[active], t_sym, chi, weights[active])
+        zero = colsum == 0.0
         bad = zero.any(axis=-1)
         singular[active[bad]] = np.argmax(zero[bad], axis=-1)
         change = new_weights - weights[active]
@@ -227,9 +224,7 @@ def _fit_stack(
         converged[active[done]] = True
         active = active[~bad & ~done]
         iterations += 1
-    scale = np.sqrt(np.diagonal(weights.swapaxes(-1, -2) @ sigma @ weights, axis1=-2, axis2=-1))
-    sw = weights / scale[..., None, :]
-    p_yy = sw.swapaxes(-1, -2) @ sigma @ sw
+    sw, p_yy = _standardized(weights, sigma)
     return _StackFit(
         raw=weights,
         standardized=sw,

@@ -28,7 +28,7 @@ from .distributions import (
     std_normal_quantile,
 )
 from .errors import ConvergenceError, DataError
-from .model import DataMatrix, _as_codes, _code_columns, _compact_codes
+from .model import DataMatrix, _as_codes, _as_numbers, _code_columns, _compact_codes
 
 __all__ = [
     "RHO_BOUND",
@@ -125,9 +125,11 @@ class ThresholdSet:
         Raises ``DataError`` naming the first value that is not one of
         ``categories``: "category code 0 was not seen at threshold
         estimation". A value that breaks the code rule (not an integer
-        >= 1 below 2**53, such as 1.5 or NaN) is never one of them.
+        >= 1 below 2**53, such as 1.5 or NaN) is never one of them. Codes
+        that are not numbers and cannot be read as floats raise
+        ``DataError`` ("category codes must hold integer codes >= 1").
         """
-        shape, values = np.shape(codes), np.ravel(codes)
+        shape, values = np.shape(codes), _as_numbers(np.ravel(codes), "category codes")
         valid = _code_columns(values[None])
         codes = (values if valid.all() else np.where(valid, values, 0)).astype(int, copy=False)
         _, mapped = _compact_codes(codes, np.array(self.categories))
@@ -137,9 +139,9 @@ class ThresholdSet:
         return mapped.astype(int).reshape(shape)
 
 
-def _check_epsilon(epsilon, where=""):
+def _check_epsilon(epsilon):
     if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise DataError(f"{where}smoothing epsilon must be finite and nonnegative, got {epsilon}")
+        raise DataError(f"smoothing epsilon must be finite and nonnegative, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,9 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     [-0.999, 0.999] and shrinks to the uphill side of each point; a step
     that leaves it, meets a curvature that is not negative or does not
     halve the step before last bisects instead, and a point with a floored
-    observed cell shrinks it toward the last point without one. A bound the
+    observed cell shrinks it toward the last point without one, or toward 0
+    while there is none: at 0 a cell's probability is the product of its
+    margins', so no observed cell is floored there. A bound the
     final bracket still reaches is evaluated only where a closed-form
     ceiling on its loglikelihood (``_bound_ceiling``) does not rule it out,
     and kept when its loglikelihood is higher; a ruled-out bound could not
@@ -417,7 +421,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
 
     rho = _first_order_start(weights, cuts_h, cuts_k)
     lo, hi = np.full(n, -RHO_BOUND), np.full(n, RHO_BOUND)
-    best, loglik = rho.copy(), np.full(n, -np.inf)
+    best, loglik = np.zeros(n), np.full(n, -np.inf)
     step, older = np.full((2, n), hi - lo)  # the last two step lengths
     active = np.ones(n, dtype=bool)
     for _ in range(_MAX_ITER):
@@ -426,8 +430,7 @@ def _solve_pairs(weights, cuts_h, cuts_k):
             break
         ll, score, curvature, floored = evaluate(active, rho, derivatives=True)
         x = rho[idx]
-        # after the first point, a floored point's score is not trusted
-        floored &= np.isfinite(loglik[idx])
+        # a floored point's score is not trusted
         best[idx[~floored]], loglik[idx[~floored]] = x[~floored], ll[~floored]
         up = np.where(floored, x < best[idx], score > 0.0)
         a = np.where(up, x, lo[idx])
@@ -662,7 +665,6 @@ def _count_polychoric(codes, categories, columns, epsilon, weights=None):
     pairs = np.column_stack(np.triu_indices(n, 1))
     values = np.eye(n)
     if pairs.size:
-        _check_epsilon(epsilon, f"{label(0)}: ")
         # a stable sort leaves a tie unturned; the cross-product is symmetric, so a turned
         # pair's block is its turned table
         rank = np.argsort(sorted(range(n), key=lambda j: _turn_key(thresholds[j].cuts)))
@@ -697,7 +699,8 @@ def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = 
     data : DataMatrix
         All columns must be ordinal.
     epsilon : float
-        Smoothing value substituted for zero cells in each pair table.
+        Smoothing value substituted for zero cells in each pair table; one
+        that is not finite and >= 0 raises DataError before any count.
     repair_pd : bool
         Project a non-positive-definite result to the nearest admissible
         matrix instead of flagging it as failed.
@@ -706,6 +709,7 @@ def polychoric_matrix(data: DataMatrix, epsilon: float = 0.5, repair_pd: bool = 
     -------
     (CorrelationMatrix, list[ThresholdSet])
     """
+    _check_epsilon(epsilon)
     categories, codes = _ordinal_codes(data)
     values, thresholds = _count_polychoric(codes, categories, data.columns, epsilon)
     return CorrelationMatrix.build(values, kind="polychoric", repair=repair_pd), thresholds

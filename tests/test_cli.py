@@ -113,6 +113,19 @@ class TestFitCommand:
         rows = read_rows(out / "inner_coefficients.csv")
         assert "bootstrap_se" in rows[0] and "bootstrap_p" in rows[0]
 
+    @pytest.mark.parametrize("mode, n_boot", [("pls", "20"), ("opls", "3")])
+    def test_manifest_counts_bootstrap_replicates(self, tmp_path, rng, mode, n_boot):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        fit = ["fit", "--model", str(model_path), "--data", str(data_path), "--mode", mode]
+        out = tmp_path / "boot"
+        assert main([*fit, "--bootstrap", n_boot, "--seed", "3", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["bootstrap_effective"] >= 2 and manifest["bootstrap_failed"] >= 0
+        assert manifest["bootstrap_effective"] + manifest["bootstrap_failed"] == int(n_boot)
+        assert main([*fit, "--out", str(tmp_path / "point")]) == 0
+        manifest = json.loads((tmp_path / "point" / "manifest.json").read_text())
+        assert "bootstrap_effective" not in manifest and "bootstrap_failed" not in manifest
+
     def test_missing_data_file_is_input_error(self, tmp_path, rng):
         _, _, model_path, _ = write_inputs(tmp_path, rng)
         code = main(
@@ -617,6 +630,16 @@ class TestOutputContract:
                      "--bootstrap", n_boot, "--out", str(out)])
         assert code == 2
         assert f"n_boot must be at least 2, got {n_boot}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["pls", "opls"])
+    def test_negative_bootstrap_seed_is_input_error(self, tmp_path, rng, capsys, mode):
+        _, _, model_path, data_path = write_inputs(tmp_path, rng)
+        out = tmp_path / "out"
+        code = main(["fit", "--model", str(model_path), "--data", str(data_path), "--mode", mode,
+                     "--bootstrap", "5", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("flag, value", [("--max-iter", "0"), ("--max-iter", "-3"),

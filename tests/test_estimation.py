@@ -338,6 +338,41 @@ class TestBootstrap:
             bootstrap_inner(data, model, mode="opls", n_boot=4, max_iter=0)
         assert calls == []
 
+    @pytest.mark.parametrize("argument, message", [
+        ({"n_boot": 2.5}, "n_boot must be an integer, got 2.5"),
+        ({"n_boot": "4"}, "n_boot must be an integer, got '4'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": np.int64(-2)}, "seed must be >= 0, got -2"),
+    ])
+    def test_size_and_seed_rejected_before_any_replicate(self, rng, monkeypatch, argument,
+                                                         message):
+        model = chain_model()
+        data = ordinal_dataset(model, rng, n=80)
+        calls = []
+        monkeypatch.setattr(estimation, "_count_polychoric", lambda *args: calls.append(None))
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            bootstrap_inner(data, model, **{"mode": "opls", "n_boot": 4, **argument})
+        assert calls == []
+
+    def test_numpy_integer_size_and_seed_accepted(self, rng):
+        model = chain_model()
+        data = factor_dataset(model, rng, n=80)
+        a = bootstrap_inner(data, model, mode="pls", n_boot=np.int64(10), seed=np.uint32(4))
+        b = bootstrap_inner(data, model, mode="pls", n_boot=10, seed=4)
+        assert np.array_equal(a.standard_errors, b.standard_errors)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan"), float("inf")])
+    def test_opls_epsilon_rejected_before_any_replicate(self, rng, monkeypatch, epsilon):
+        model = chain_model()
+        data = ordinal_dataset(model, rng, n=80)
+        calls = []
+        monkeypatch.setattr(estimation, "_count_polychoric", lambda *args: calls.append(None))
+        with pytest.raises(DataError, match="^smoothing epsilon must be finite and nonnegative"):
+            bootstrap_inner(data, model, mode="opls", n_boot=3, epsilon=epsilon)
+        assert calls == []
+
     def test_fewer_than_two_successes_rejected(self, rng, monkeypatch):
         model = chain_model()
         data = ordinal_dataset(model, rng, n=80)

@@ -268,8 +268,9 @@ class TestLoadData:
         assert data.n_rows == 3
 
 
+# A Python int of 2**70 makes numpy build an object array of the column.
 BAD_CODES = {"zero": 0.0, "negative": -1.0, "fraction": 1.5, "nan": float("nan"),
-             "two_to_the_53": 2.0**53, "beyond_int64": 1e19}
+             "two_to_the_53": 2.0**53, "beyond_int64": 1e19, "python_int_2_to_the_70": 2**70}
 _THRESHOLDS = ThresholdSet(cuts=np.array([0.0]), categories=(1, 2))
 CODE_ENTRY_POINTS = {
     "DataMatrix": lambda col: DataMatrix(
@@ -287,12 +288,12 @@ class TestCodeRule:
     @pytest.mark.parametrize("bad", BAD_CODES.values(), ids=BAD_CODES)
     @pytest.mark.parametrize("entry", [*CODE_ENTRY_POINTS, "load_csv"])
     def test_every_entry_point_rejects_a_non_code(self, entry, bad):
-        column = np.array([1.0, 2.0, bad, 2.0])
+        column = np.array([1, 2, bad, 2])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if entry == "load_csv":
                 text = "a,b\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(column.tolist(), 1))
-                if np.isnan(bad):
+                if np.isnan(float(bad)):
                     with pytest.raises(DataError, match="non-finite"):
                         load_csv(io.StringIO(text))
                 else:

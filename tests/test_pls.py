@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from conftest import ECSI_MODEL, factor_dataset, random_recursive_model
 from oplspm.errors import ConvergenceError, DataError, EstimationError
 from oplspm.estimation import bootstrap_inner
 from oplspm.model import DataMatrix, build_model, parse_model
-from oplspm.pls import _matrix_step, initial_weights, matrix_pls_fit, score_based_pls_fit
+from oplspm.pls import (
+    _fit_stack, _matrix_step, initial_weights, matrix_pls_fit, score_based_pls_fit
+)
 from oplspm.polychoric import pearson_matrix
 
 
@@ -17,6 +20,38 @@ def three_block_model():
         {"f1": ["a1", "a2", "a3"], "f2": ["b1", "b2"], "f3": ["c1", "c2", "c3", "c4"]},
         [("f1", "f2"), ("f2", "f3"), ("f1", "f3")],
     )
+
+
+def paper_step(sigma, model, weights):
+    """One pass of the correlation-matrix PLS step as the paper writes it, for one matrix."""
+    chi = model.weight_pattern()
+    t_sym = model.inner_adjacency + model.inner_adjacency.T
+    v = weights / weights.sum(axis=0)  # outer approximation: each block's weights sum to 1
+    sw = v @ np.diag(1.0 / np.sqrt(np.diag(v.T @ sigma @ v)))  # SW: unit-variance composites
+    p_yy = sw.T @ sigma @ sw
+    upsilon = t_sym * np.where(p_yy >= 0.0, 1.0, -1.0)  # centroid scheme, sign(0) = +1
+    sigma_xz = sigma @ sw @ upsilon
+    c = chi * sigma_xz
+    colsum = c.sum(axis=0)
+    # block orientation: the sign that most of the block's indicator correlations take (tie +1)
+    sigma_xy = sigma @ sw
+    orientation = np.array([
+        1.0 if np.where(sigma_xy[model.block_slice(j), j] >= 0.0, 1.0, -1.0).sum() >= 0 else -1.0
+        for j in range(model.n_latents)
+    ])
+    return c / colsum * orientation, colsum
+
+
+def signed_problem(model, rng):
+    """A Pearson matrix of weakly correlated blocks, each block's indicators sign-flipped
+    together, and weights of mixed sign whose block columns sum to +/-1: latent
+    correlations of both signs reach the centroid scheme, and a block's composite can
+    correlate negatively with most of its indicators."""
+    values = pearson_matrix(factor_dataset(model, rng, noise=1.5)).values
+    signs = np.repeat(rng.choice([-1.0, 1.0], size=model.n_latents), model.block_sizes)
+    chi = model.weight_pattern()
+    w = chi * rng.uniform(-0.6, 1.0, size=chi.shape)
+    return signs[:, None] * values * signs, w / np.abs(w.sum(axis=0))
 
 
 class TestInitialWeights:
@@ -69,35 +104,32 @@ class TestMatrixEngine:
         model = three_block_model()
         data = factor_dataset(model, rng)
         sigma = pearson_matrix(data).values
-        chi = model.weight_pattern()
-        t_sym = model.inner_adjacency + model.inner_adjacency.T
-        w = initial_weights(model)
-        for _ in range(6):
-            w, internals = _matrix_step(sigma, t_sym, chi, w)
-            sw = internals["standardizing_weights"]
+        for i in range(1, 7):
+            fit = _fit_stack(sigma[None], model, max_iter=i)
+            sw = fit.standardized[0]
             assert np.allclose(np.diag(sw.T @ sigma @ sw), 1.0, atol=1e-10)
             # raw weight normalization: each column sums to +/-1
-            assert np.allclose(np.abs(w.sum(axis=0)), 1.0, atol=1e-12)
+            assert np.allclose(np.abs(fit.raw[0].sum(axis=0)), 1.0, atol=1e-12)
 
-    def test_upsilon_pattern(self, rng):
-        model = three_block_model()
-        data = factor_dataset(model, rng)
-        sigma = pearson_matrix(data).values
-        chi = model.weight_pattern()
-        t_sym = model.inner_adjacency + model.inner_adjacency.T
-        _, internals = _matrix_step(sigma, t_sym, chi, initial_weights(model))
-        ups = internals["upsilon"]
-        assert np.array_equal(ups != 0, t_sym != 0)
-        assert set(np.unique(ups)).issubset({-1.0, 0.0, 1.0})
-
-    def test_c_respects_block_pattern(self, rng):
-        model = three_block_model()
-        data = factor_dataset(model, rng)
-        sigma = pearson_matrix(data).values
-        chi = model.weight_pattern()
-        t_sym = model.inner_adjacency + model.inner_adjacency.T
-        _, internals = _matrix_step(sigma, t_sym, chi, initial_weights(model))
-        assert np.all(internals["c"][chi == 0.0] == 0.0)
+    @pytest.mark.parametrize("members", [None, 3], ids=["single", "stacked"])
+    def test_step_matches_the_paper_formulas(self, members):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            model = random_recursive_model(rng, max_indicators=4)
+            chi = model.weight_pattern()
+            t_sym = model.inner_adjacency + model.inner_adjacency.T
+            sigma, weights = map(np.array, zip(*(signed_problem(model, rng)
+                                                 for _ in range(members or 1))))
+            if members is None:
+                sigma, weights = sigma[0], weights[0]
+            new_weights, colsum = _matrix_step(sigma, t_sym, chi, weights)
+            for b in np.ndindex(sigma.shape[:-2]):
+                expected_weights, expected_colsum = paper_step(sigma[b], model, weights[b])
+                assert_allclose(colsum[b], expected_colsum, rtol=0, atol=1e-14)
+                # A column sum that cancels magnifies the rounding of both forms by up to
+                # the square of the update's absolute column sum, which is 1 without one.
+                bound = 1e-14 * np.abs(expected_weights).sum(axis=0) ** 2
+                assert np.all(np.abs(new_weights[b] - expected_weights) <= bound)
 
     def test_weight_sparsity_pattern(self, rng):
         model = three_block_model()

@@ -646,12 +646,17 @@ class TestCountPass:
         assert np.array_equal(tables[0], [[2.0, 0.5], [0.5, 1.0], [0.5, 1.0]])
         assert np.array_equal(tables[1], [[1.0, 1.0], [0.5, 2.0]])
 
-    def test_negative_epsilon_names_pair(self, rng):
-        data = DataMatrix(
-            rng.integers(1, 4, size=(30, 3)).astype(float), ("a", "b", "c"), ("ordinal",) * 3
-        )
-        with pytest.raises(DataError, match="pair \\('a', 'b'\\): smoothing epsilon"):
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_negative_epsilon_rejected_before_the_count_pass(self, rng, monkeypatch, width):
+        # a single column has no pair table, and was accepted with any epsilon
+        data = DataMatrix(rng.integers(1, 4, size=(30, width)).astype(float),
+                          ("a", "b", "c")[:width], ("ordinal",) * width)
+        calls = []
+        monkeypatch.setattr(polychoric, "_count_polychoric", lambda *args: calls.append(None))
+        with pytest.raises(DataError) as info:
             polychoric_matrix(data, epsilon=-0.1)
+        assert str(info.value) == "smoothing epsilon must be finite and nonnegative, got -0.1"
+        assert calls == []
 
     @pytest.mark.parametrize("epsilon", [-0.1, float("nan"), float("inf"), -float("inf")])
     def test_epsilon_must_be_finite_and_nonnegative(self, rng, epsilon):
@@ -801,6 +806,7 @@ class TestScanOracleAgreement:
     @settings(max_examples=100, deadline=None)
     @example(429, 0.0)  # a Newton step lands where an observed cell's probability is floored
     @example(34, 0.0)  # the maximum is a bound that plain Newton steps only creep toward
+    @example(15185, 0.0)  # the first-order start is where an observed cell's probability is floored
     def test_sparse_tables(self, seed, epsilon):
         table, ts_h, ts_k = sparse_table(seed, epsilon)
         fit = polychoric_pair(table, ts_h, ts_k)
@@ -909,6 +915,7 @@ class TestBoundScreen:
         )
     )
     @settings(max_examples=60, deadline=None)
+    @example([(15185, "sparse")])  # the first-order start floors an observed cell
     def test_ceiling_bounds_the_exact_loglikelihood(self, draws):
         fits = [screen_table(seed, kind) for seed, kind in draws]
         # the solver takes one table shape per call, as polychoric_matrix groups its pairs
