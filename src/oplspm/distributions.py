@@ -5,14 +5,20 @@ All functions accept scalars or numpy arrays and are pure; random number
 generation goes through an explicitly passed ``numpy.random.Generator``
 (PCG64 via ``numpy.random.default_rng``), so independent streams are safe
 to use concurrently.
+
+This module is the package's one boundary with scipy: ``ndtr`` and
+``ndtri`` here are scipy's normal CDF and quantile ufuncs, and the rest of
+the package takes them from here. ``scipy.special`` is imported at the
+first normal probability, not with the package, so a command that never
+evaluates one (the Pearson route of ``fit``) never loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "std_normal_pdf",
@@ -25,6 +31,24 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+@functools.cache
+def _special():
+    # the package's one scipy import, run at the first normal probability
+    import scipy.special
+
+    return scipy.special
+
+
+def ndtr(x):
+    # scipy's standard normal CDF ufunc
+    return _special().ndtr(x)
+
+
+def ndtri(p):
+    # scipy's standard normal quantile ufunc
+    return _special().ndtri(p)
 
 
 def std_normal_pdf(x):

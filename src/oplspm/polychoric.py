@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
-from scipy.special import ndtr
 
 from .distributions import (
     _TIER_EDGES,
     _bvn_cdf_finite,
     _bvn_pdf_drho,
+    ndtr,
     std_normal_pdf,
     std_normal_quantile,
 )
@@ -140,7 +140,16 @@ class ThresholdSet:
 
 
 def _check_epsilon(epsilon):
-    if not (np.isfinite(epsilon) and epsilon >= 0):
+    # a Python or numpy integer or float, not a bool, finite as a float and nonnegative
+    try:
+        valid = (
+            isinstance(epsilon, (int, float, np.integer, np.floating))
+            and not isinstance(epsilon, bool)
+            and 0.0 <= float(epsilon) < math.inf
+        )
+    except OverflowError:  # a Python integer beyond the float range
+        valid = False
+    if not valid:
         raise DataError(f"smoothing epsilon must be finite and nonnegative, got {epsilon}")
 
 
@@ -389,13 +398,14 @@ def _solve_pairs(weights, cuts_h, cuts_k):
     [-0.999, 0.999] and shrinks to the uphill side of each point; a step
     that leaves it, meets a curvature that is not negative or does not
     halve the step before last bisects instead, and a point with a floored
-    observed cell shrinks it toward the last point without one, or toward 0
-    while there is none: at 0 a cell's probability is the product of its
-    margins', so no observed cell is floored there. A bound the
-    final bracket still reaches is evaluated only where a closed-form
-    ceiling on its loglikelihood (``_bound_ceiling``) does not rule it out,
-    and kept when its loglikelihood is higher; a ruled-out bound could not
-    have won, so skipping it changes no result.
+    observed cell, or whose phi2 underflows to 0 at every corner, shrinks it
+    toward the last point with neither, or toward 0 while there is none: at
+    0 a cell's probability is the product of its margins', so no observed
+    cell is floored there. A bound the final bracket still reaches is
+    evaluated only where a closed-form ceiling on its loglikelihood
+    (``_bound_ceiling``) does not rule it out, and kept when its
+    loglikelihood is higher; a ruled-out bound could not have won, so
+    skipping it changes no result.
 
     Returns ``(rho, loglik, converged)`` arrays with one entry per pair.
     """
@@ -409,15 +419,17 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         if not derivatives:
             return loglik
         dp, d2p = grads
-        # floored cells are flat in rho, so they drop out of the derivatives
+        # floored cells are flat in rho, so they drop out of the derivatives and the score
+        # of a point with a floored observed cell is not trusted; nor is it where phi2
+        # underflows to 0 at every corner, as the score is then 0 whatever the slope
         live = probs > _LOG_FLOOR
-        floored = np.any((w > 0.0) & ~live, axis=(1, 2))
+        untrusted = np.any((w > 0.0) & ~live, axis=(1, 2)) | ~np.any(dp, axis=(1, 2))
         w = np.where(live, w, 0.0)
         probs = np.where(live, probs, 1.0)
         ratio = dp / probs
         score = np.sum(w * ratio, axis=(1, 2))
         curvature = np.sum(w * (d2p / probs - ratio * ratio), axis=(1, 2))
-        return loglik, score, curvature, floored
+        return loglik, score, curvature, untrusted
 
     rho = _first_order_start(weights, cuts_h, cuts_k)
     lo, hi = np.full(n, -RHO_BOUND), np.full(n, RHO_BOUND)
@@ -428,17 +440,16 @@ def _solve_pairs(weights, cuts_h, cuts_k):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        ll, score, curvature, floored = evaluate(active, rho, derivatives=True)
+        ll, score, curvature, untrusted = evaluate(active, rho, derivatives=True)
         x = rho[idx]
-        # a floored point's score is not trusted
-        best[idx[~floored]], loglik[idx[~floored]] = x[~floored], ll[~floored]
-        up = np.where(floored, x < best[idx], score > 0.0)
+        best[idx[~untrusted]], loglik[idx[~untrusted]] = x[~untrusted], ll[~untrusted]
+        up = np.where(untrusted, x < best[idx], score > 0.0)
         a = np.where(up, x, lo[idx])
         b = np.where(up, hi[idx], x)
         lo[idx], hi[idx] = a, b
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - score / curvature
-        ok = ~floored & (curvature < 0.0) & (newton >= a) & (newton <= b)
+        ok = ~untrusted & (curvature < 0.0) & (newton >= a) & (newton <= b)
         ok &= 2.0 * np.abs(newton - x) <= older[idx]
         step_to = np.where(ok, newton, 0.5 * (a + b))
         older[idx], step[idx] = step[idx], np.abs(step_to - x)

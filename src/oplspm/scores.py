@@ -13,9 +13,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
-from .distributions import truncated_normal_mean, truncated_normal_median
+from .distributions import ndtr, truncated_normal_mean, truncated_normal_median
 from .errors import DataError
 from .model import DataMatrix, PathModel
 from .pls import _standardized_indicators

@@ -143,33 +143,66 @@ class TestFitCommand:
         assert code == 3
 
 
-FOOTPRINT_PROBE = """
+SCIPY_PROBE = """
 import sys
-import scipy.special
-before = "scipy.linalg" in sys.modules
-from oplspm.cli import main
-assert main(sys.argv[1:]) == 0
-print(before, "scipy.linalg" in sys.modules)
+import oplspm
+if sys.argv[1:]:
+    from oplspm.cli import main
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exit:  # --version
+        code = exit.code
+    assert code in (0, None), code
+print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
+
+
+def scipy_modules_after(argv=(), program=SCIPY_PROBE):
+    """The scipy modules a fresh interpreter holds after ``program`` ran with ``argv``, as a set.
+
+    The default program imports the package and runs any ``argv`` as
+    ``oplspm`` arguments. The test process itself has scipy loaded, so the
+    check needs a child.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", program, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    line = next(line for line in done.stdout.splitlines() if line.startswith("scipy modules:"))
+    return set(line.split()[2:])
+
+
+def fit_argv(tmp_path, rng, *options):
+    _, _, model_path, data_path = write_inputs(tmp_path, rng)
+    return ["fit", "--model", str(model_path), "--data", str(data_path), *options,
+            "--seed", "1", "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [(), ("--version",), ("--mode", "pls"), ("--mode", "pls", "--bootstrap", "50")],
+    ids=["import", "version", "pls-fit", "pls-bootstrap"],
+)
+def test_pearson_route_never_loads_scipy(tmp_path, rng, command):
+    # the package loads scipy.special at its first normal probability, which the Pearson
+    # route never evaluates, so start-up there pays for no scipy import
+    argv = fit_argv(tmp_path, rng, *command) if command[:1] == ("--mode",) else command
+    assert scipy_modules_after(argv) == set()
 
 
 def test_bootstrap_fit_leaves_scipy_linalg_unimported(tmp_path, rng):
     # scipy.linalg adds about 6 MB of resident memory on import; numpy.linalg serves the
-    # package. The package imports scipy.special, which on older scipy releases imports
-    # scipy.linalg at module level; there the guard has nothing to check.
-    _, _, model_path, data_path = write_inputs(tmp_path, rng)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    argv = ["fit", "--model", str(model_path), "--data", str(data_path), "--mode", "pls",
-            "--bootstrap", "50", "--seed", "1", "--out", str(tmp_path / "out")]
-    done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_PROBE, *argv],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    before, after = done.stdout.splitlines()[-1].split()
-    if before == "True":
-        pytest.skip("this scipy's scipy.special imports scipy.linalg")
-    assert after == "False"
+    # package. The polychoric route loads scipy.special, which on older scipy releases
+    # imports scipy.linalg at module level; there the guard has nothing to check.
+    loaded = scipy_modules_after(fit_argv(tmp_path, rng, "--mode", "opls", "--bootstrap", "2"))
+    assert "scipy.special" in loaded
+    if "scipy.linalg" in loaded:
+        probe = SCIPY_PROBE.replace("import oplspm", "import scipy.special")
+        if "scipy.linalg" in scipy_modules_after(program=probe):
+            pytest.skip("this scipy's scipy.special imports scipy.linalg")
+    assert "scipy.linalg" not in loaded
 
 
 class TestPolychoricCommand:

@@ -11,6 +11,7 @@ from conftest import ecsi_dataset, random_recursive_model, ordinal_dataset
 from oplspm import polychoric
 from oplspm.distributions import _TIER_EDGES, _bvn_cdf_finite, _bvn_pdf_drho
 from oplspm.errors import ConvergenceError, DataError
+from oplspm.estimation import bootstrap_inner
 from oplspm.model import DataMatrix
 from oplspm.polychoric import (
     ContingencyTable,
@@ -668,6 +669,37 @@ class TestCountPass:
         with pytest.raises(DataError, match="smoothing epsilon must be finite and nonnegative"):
             ContingencyTable(np.ones((2, 2)), epsilon=epsilon)
 
+    @pytest.mark.parametrize(
+        "epsilon",
+        ["a", None, [0.5, 0.5], np.array([0.5]), np.array(0.5), True, 10**400, np.float16("inf")],
+        ids=["str", "None", "list", "array", "0-d array", "bool", "huge int", "float16 inf"],
+    )
+    @pytest.mark.parametrize(
+        "entry", ["ContingencyTable", "polychoric_matrix", "SimulationConfig", "bootstrap_inner"]
+    )
+    def test_epsilon_must_be_a_real_scalar(self, rng, entry, epsilon):
+        model = random_recursive_model(rng, n_latents=3, max_indicators=2)
+        data = ordinal_dataset(model, rng, n=40, npoints=3)
+        call = {
+            "ContingencyTable": lambda: ContingencyTable(np.ones((2, 2)), epsilon=epsilon),
+            "polychoric_matrix": lambda: polychoric_matrix(data, epsilon=epsilon),
+            "SimulationConfig": lambda: SimulationConfig(epsilon=epsilon),
+            "bootstrap_inner": lambda: bootstrap_inner(
+                data, model, mode="opls", n_boot=2, epsilon=epsilon
+            ),
+        }[entry]
+        with pytest.raises(DataError) as info:
+            call()
+        assert str(info.value) == (
+            f"smoothing epsilon must be finite and nonnegative, got {epsilon}"
+        )
+
+    @pytest.mark.parametrize("epsilon", [0, 2, np.float32(0.5), np.int64(1), np.float16(0.5)])
+    def test_numpy_and_integer_epsilon_accepted(self, epsilon):
+        table = ContingencyTable(np.array([[3.0, 0.0], [1.0, 4.0]]), epsilon=epsilon)
+        assert table.smoothed()[0, 1] == epsilon
+        assert SimulationConfig(epsilon=epsilon).epsilon == epsilon
+
     def test_crosstab_counts(self):
         table = crosstab(np.array([1, 2, 2, 3]), np.array([2, 1, 1, 2]), 3, 2)
         assert np.array_equal(table, [[0, 1], [2, 0], [0, 1]])
@@ -864,6 +896,21 @@ class TestFirstOrderStart:
         assert (seed, draw) != (248, 35) or table.counts.shape == (2, 2)
         start = polychoric._first_order_start(table.smoothed()[None], ts_h.cuts[None], ts_k.cuts[None])
         assert abs(start[0]) < _TIER_EDGES[-1]
+        fit = polychoric_pair(table, ts_h, ts_k)
+        rho_grid, ll_grid = grid_search(table, ts_h, ts_k)
+        assert abs(fit.rho - rho_grid) < 1e-3  # criterion 03's tolerances
+        assert fit.loglik >= ll_grid - 1e-6
+
+    def test_start_where_phi2_underflows_at_every_corner(self, monkeypatch):
+        # at -0.9986 phi2 underflows to 0 at this 2 x 2 table's one corner, so the score is
+        # exactly 0 there; read as downhill, it slid the solve to -0.999, 126 below the best
+        # loglikelihood. Such a point's score is not trusted, as at a floored cell.
+        table, ts_h, ts_k = list(criterion_tables(248))[35]
+        start = -0.9986
+        assert _bvn_pdf_drho(ts_h.cuts, ts_k.cuts, start)[0].tolist() == [0.0]
+        monkeypatch.setattr(
+            polychoric, "_first_order_start", lambda weights, *cuts: np.full(len(weights), start)
+        )
         fit = polychoric_pair(table, ts_h, ts_k)
         rho_grid, ll_grid = grid_search(table, ts_h, ts_k)
         assert abs(fit.rho - rho_grid) < 1e-3  # criterion 03's tolerances
